@@ -1,9 +1,9 @@
-"""Setuptools shim so that ``pip install -e .`` works without the wheel package.
+"""Setuptools shim for the legacy ``python setup.py develop`` install.
 
-The offline environment this reproduction targets ships setuptools but not
-``wheel``, so PEP 660 editable wheels cannot be built; keeping a ``setup.py``
-lets pip fall back to the legacy ``setup.py develop`` editable install.  All
-project metadata lives in ``pyproject.toml``.
+``pip install -e .`` builds a PEP 660 editable wheel, which needs the
+``wheel`` package; where it is missing (e.g. an offline host that ships
+only setuptools), ``python setup.py develop`` installs the package without
+it.  All project metadata lives in ``pyproject.toml``.
 """
 
 from setuptools import setup

@@ -52,6 +52,12 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
             "_result_cache": "_cache_lock",
         },
     },
+    "g0_view.py": {
+        "G0ViewTable": {
+            "_views": "_lock",
+            "_components": "_lock",
+        },
+    },
     "sharded.py": {
         "ShardedBCCEngine": {
             "_counters": "_counters_lock",

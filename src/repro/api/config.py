@@ -64,8 +64,9 @@ class SearchConfig:
     max_iterations:
         Optional safety cap on peeling iterations.
     fast_path:
-        Run Online-BCC's query-distance sweep on a frozen CSR snapshot of
-        ``G0`` with a dead-id mask (identical results, faster substrate).
+        Serve Online-BCC's ``G0`` from the engine's view table and peel an
+        id mask over the frozen CSR (identical results, faster substrate);
+        False runs the loop on an object-graph copy of ``G0``.
     eta:
         Candidate-graph size threshold of L2P-BCC (Algorithm 8).
     path_config:

@@ -70,6 +70,7 @@ from repro.api.query import (
 from repro.api.registry import MethodSpec, get_method
 from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import BCCParameters, resolve_query_labels
+from repro.core.g0_view import G0ViewTable
 from repro.core.multilabel import resolve_mbcc_parameters, validate_mbcc_query
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
@@ -113,6 +114,8 @@ ENGINE_COUNTER_NAMES = (
     "process_batches",
     "process_tasks",
     "process_fallbacks",
+    "g0_view_builds",
+    "g0_view_hits",
 )
 
 #: Edge count below which ``backend="auto"`` keeps batches on the threaded
@@ -201,7 +204,8 @@ def run_with_deadline(fn, seconds: Optional[float], what: str = "call"):
 
     ``None`` runs inline with zero overhead — the no-deadline path is
     unchanged.  Otherwise ``fn`` runs on a fresh *daemon* thread and the
-    caller waits at most ``seconds``: on timeout,
+    caller waits at most ``seconds``: on timeout — or when ``fn`` finished
+    only after ``seconds`` —
     :class:`~repro.exceptions.DeadlineExceededError` is raised and the
     worker is abandoned (a pure-Python kernel cannot be preempted
     mid-peel; the daemon flag keeps an eternally stalled worker from
@@ -233,8 +237,15 @@ def run_with_deadline(fn, seconds: Optional[float], what: str = "call"):
         worker = threading.Thread(
             target=context.run, args=(work,), name=f"deadline:{what}", daemon=True
         )
+        started = time.perf_counter()
         worker.start()
-        if not done.wait(timeout=max(0.0, seconds)):
+        # The budget runs from dispatch.  A busy kernel holds the GIL, so
+        # start() and the wait's wake-up each return only once the caller
+        # wins it back; a kernel can finish past the budget before the
+        # caller runs again, and that answer is late all the same.
+        remaining = seconds - (time.perf_counter() - started)
+        finished = done.wait(timeout=max(0.0, remaining))
+        if not finished or time.perf_counter() - started > seconds:
             if timed is not None:
                 timed.annotate(exceeded=True)
             raise DeadlineExceededError(deadline_ms=seconds * 1000.0)
@@ -466,6 +477,9 @@ class BCCEngine:
         self._counters: Dict[str, int] = {
             name: 0 for name in ENGINE_COUNTER_NAMES
         }
+        # Component-keyed G0 views for Online-/LP-BCC (filled lazily, under
+        # the table's own lock; cleared on graph mutation).
+        self._g0_views = G0ViewTable(graph, self._frozen_csr, self.group, self._count)
 
     @property
     def counters(self) -> Mapping[str, int]:
@@ -518,6 +532,7 @@ class BCCEngine:
                 self._groups.clear()
             self._index = None
             self._prepared = False
+            self._g0_views.clear()
             with self._cache_lock:
                 self._result_cache.clear()
             with self._pool_lock:
@@ -539,14 +554,33 @@ class BCCEngine:
         """
         self._check_version()
         self._count("prepare_calls")
+        self._frozen_csr()
+        self._prepared = True
+        return self
+
+    def _frozen_csr(self):
+        """The graph's current CSR snapshot, frozen (and counted) at most once."""
         if not self.graph.has_frozen():
             with self._freeze_lock:
                 if not self.graph.has_frozen():
                     with obs_span("engine.csr_freeze"):
                         self.graph.freeze()
                     self._count("csr_freezes")
-        self._prepared = True
-        return self
+        return self.graph.freeze()
+
+    @property
+    def g0_views(self) -> G0ViewTable:
+        """The engine's table of component-keyed G0 views.
+
+        Online-BCC and LP-BCC (and L2P-BCC's global fallback) fetch
+        Algorithm 2's ``G0`` here instead of rebuilding it per query: one
+        view per ``(left label, k1, left core component, right label, k2,
+        right core component)``, built on first use and counted in
+        ``"g0_view_builds"`` / ``"g0_view_hits"``.  A graph mutation drops
+        every view.
+        """
+        self._check_version()
+        return self._g0_views
 
     def is_prepared(self) -> bool:
         """Return ``True`` once :meth:`prepare` ran for the current graph."""

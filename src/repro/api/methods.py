@@ -21,6 +21,15 @@ from repro.core.multilabel import run_mbcc
 from repro.core.online_bcc import run_online_bcc
 
 
+def _views(engine, config):
+    """The engine's G0 view table, or ``None`` for the object-graph kernels.
+
+    ``backend="object"`` keeps Online-/LP-/L2P-BCC on object-graph copies
+    of ``G0`` — the parity oracle of the view path.
+    """
+    return None if config.backend == "object" else engine.g0_views
+
+
 @register_method(
     "psa",
     display="PSA",
@@ -84,6 +93,7 @@ def _run_online_bcc(engine, query, config, instrumentation):
         use_fast_path=config.fast_path,
         backend=config.backend,
         groups=engine.group,
+        views=_views(engine, config),
     )
 
 
@@ -111,6 +121,7 @@ def _run_lp_bcc(engine, query, config, instrumentation):
         instrumentation=instrumentation,
         backend=config.backend,
         groups=engine.group,
+        views=_views(engine, config),
     )
 
 
@@ -141,6 +152,7 @@ def _run_l2p_bcc(engine, query, config, instrumentation):
         instrumentation=instrumentation,
         backend=config.backend,
         groups=engine.group,
+        views=_views(engine, config),
     )
 
 

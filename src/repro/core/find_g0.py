@@ -33,6 +33,7 @@ from repro.graph.labeled_graph import (
     LabeledGraph,
     Label,
     Vertex,
+    ordered_induced_subgraph,
     resolve_group_provider,
     union_graphs,
 )
@@ -46,9 +47,11 @@ class G0Result:
     Attributes
     ----------
     community:
-        ``G0 = L ∪ B ∪ R`` as a single labeled graph.
+        ``G0 = L ∪ B ∪ R`` as a single labeled graph, listing ``L`` then
+        ``R``, each in the input graph's vertex order.
     left, right:
-        The connected k1-core / k2-core subgraphs (intra-group edges only).
+        The connected k1-core / k2-core subgraphs (intra-group edges only),
+        in the input graph's vertex order.
     bipartite:
         The cross-group bipartite view between the two cores.
     butterfly_degrees:
@@ -113,6 +116,11 @@ def find_g0(
     right_core = k_core_containing(right_group, parameters.k2, q_right, backend=backend)
     if right_core is None:
         return None
+
+    # L and R list their vertices in the input graph's order, so G0's order
+    # (L then R) — and every tie break that follows it — is canonical.
+    left_core = ordered_induced_subgraph(graph, left_core.vertices())
+    right_core = ordered_induced_subgraph(graph, right_core.vertices())
 
     # Line 4: the cross-group bipartite graph between the two cores.
     left_vertices = set(left_core.vertices())

@@ -21,9 +21,10 @@ paper proposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.bipartite import BipartiteView
+from repro.graph.csr import masked_bfs, masked_butterfly_degrees
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import bfs_distances
 
@@ -68,30 +69,48 @@ def identify_leader(
     Leader
         The chosen leader and its current butterfly degree.  When no vertex
         within ``rho`` hops reaches the relaxed thresholds, the query vertex
-        itself is returned (line 16 of Algorithm 6).
+        itself is returned (line 16 of Algorithm 6).  Among vertices at the
+        same hop distance the first in ``group``'s vertex order wins.
     """
-    chi = lambda v: butterfly_degrees.get(v, 0)  # noqa: E731 - tiny local alias
-    candidate = query
-    b_max = 0
-    for v in group.vertices():
-        b_max = max(b_max, chi(v))
+    b_max = max((butterfly_degrees.get(v, 0) for v in group.vertices()), default=0)
+    return _pick_leader(
+        query,
+        butterfly_degrees,
+        b_max,
+        b,
+        rho,
+        group.vertices(),
+        lambda: bfs_distances(group, query, max_depth=rho) if query in group else {},
+    )
+
+
+def _pick_leader(query, chi, b_max, b, rho, order, hop_distances) -> Leader:
+    """The search of Algorithm 6, shared by the object and id-mask substrates.
+
+    ``chi`` maps vertices to butterfly degrees (absent means 0), ``b_max``
+    is its maximum over the side, ``order`` iterates the side's vertices
+    and ``hop_distances()`` returns hop distances from ``query`` within the
+    side, up to ``rho``.  Each distance ring is scanned in ``order``, not
+    in BFS discovery order, so the pick does not hang on adjacency-set
+    layout.
+    """
+    chi_query = chi.get(query, 0)
     threshold = b_max / 2.0
-    if chi(candidate) > threshold:
-        return Leader(candidate, chi(candidate))
-    # Hop distances from the query within the group (bounded by rho).
-    distances = bfs_distances(group, query, max_depth=rho) if query in group else {}
+    if chi_query > threshold:
+        return Leader(query, chi_query)
+    distances = hop_distances()
     by_distance: Dict[int, list] = {}
-    for v, d in distances.items():
-        if v == query:
-            continue
-        by_distance.setdefault(d, []).append(v)
+    for v in order:
+        d = distances.get(v)
+        if d is not None and v != query:
+            by_distance.setdefault(d, []).append(v)
     while threshold >= b and threshold > 0:
         for d in range(1, rho + 1):
-            for v in by_distance.get(d, []):
-                if chi(v) >= threshold:
-                    return Leader(v, chi(v))
+            for v in by_distance.get(d, ()):
+                if chi.get(v, 0) >= threshold:
+                    return Leader(v, chi[v])
         threshold /= 2.0
-    return Leader(candidate, chi(candidate))
+    return Leader(query, chi_query)
 
 
 def identify_leader_pair(
@@ -319,6 +338,179 @@ class LeaderPairTracker:
     def bipartite(self) -> BipartiteView:
         """The tracked cross-group bipartite view (mutated by deletions)."""
         return self._bipartite
+
+
+def identify_leader_masked(
+    slices,
+    side_order: Sequence[int],
+    side: Set[int],
+    query: int,
+    chi: Dict[int, int],
+    b_max: int,
+    b: int,
+    rho: int = 2,
+) -> Leader:
+    """Algorithm 6 on id masks: :func:`identify_leader` over one live side.
+
+    ``side`` is the live id set of the query's core (``L`` or ``R``),
+    ``side_order`` the same ids in the group's vertex order, ``chi`` the
+    butterfly degree per id and ``b_max`` its maximum over the side.  The
+    hop search runs on the side's intra-group edges of the frozen CSR.
+    Returns a :class:`Leader` whose ``vertex`` is an id.
+    """
+    return _pick_leader(
+        query,
+        chi,
+        b_max,
+        b,
+        rho,
+        side_order,
+        lambda: masked_bfs(slices, query, side, max_depth=rho),
+    )
+
+
+class MaskedLeaderTracker:
+    """Algorithm 7 on id masks: :class:`LeaderPairTracker` over live id sets.
+
+    The tracker keeps its own live left/right id sets of the bipartite
+    graph ``B`` (over the frozen CSR adjacency ``slices``) and the two
+    leaders' butterfly degrees.  Each deleted id lowers a leader's degree
+    by the butterflies the two share, counted from the leader's live cross
+    neighbourhood exactly as :func:`updated_leader_degree` does; a full
+    masked recount plus re-identification runs only when a leader is lost
+    or drops below ``b``.
+
+    Parameters
+    ----------
+    slices:
+        The frozen graph's per-id adjacency slices.
+    left, right:
+        The ids of ``L`` and ``R``.
+    query_ids:
+        ``(q_l, q_r)`` as ids.
+    b:
+        Butterfly-degree requirement.
+    vertex_of:
+        Maps an id to its vertex; ties among equal recount degrees break on
+        the vertex ``repr``, as in :class:`LeaderPairTracker`.
+    instrumentation:
+        Optional counters, as for :class:`LeaderPairTracker`.
+    """
+
+    def __init__(
+        self,
+        slices,
+        left: Iterable[int],
+        right: Iterable[int],
+        query_ids: Sequence[int],
+        b: int,
+        vertex_of,
+        instrumentation=None,
+    ) -> None:
+        self._slices = slices
+        self._sides = (set(left), set(right))
+        self._queries = tuple(query_ids)
+        self._b = b
+        self._vertex_of = vertex_of
+        self._instrumentation = instrumentation
+        self.full_recounts = 0
+        self._leaders: List[Optional[Leader]] = [None, None]
+
+    def set_leaders(self, left: Leader, right: Leader) -> None:
+        """Install leaders from :func:`identify_leader_masked`."""
+        self._leaders = [left, right]
+
+    def leader_pair(self) -> Optional[Tuple[int, int]]:
+        """The leader ids as a pair, if both exist."""
+        left, right = self._leaders
+        if left is None or right is None:
+            return None
+        return (left.vertex, right.vertex)
+
+    def leaders_satisfy_requirement(self) -> bool:
+        """Return True when both tracked leaders still have χ >= b."""
+        return all(
+            leader is not None and leader.butterfly_degree >= self._b
+            for leader in self._leaders
+        )
+
+    def remove_vertices(self, deleted: Iterable[int]) -> None:
+        """Apply a deletion batch, updating leader degrees (Algorithm 7)."""
+        timer = (
+            self._instrumentation.time_leader_update()
+            if self._instrumentation is not None
+            else _null_context()
+        )
+        slices = self._slices
+        sides = self._sides
+        leaders = self._leaders
+        with timer:
+            # Each leader's live cross neighbourhood N(p), kept current
+            # across the batch.
+            cross = [
+                None if leader is None else sides[1 - s].intersection(slices[leader.vertex])
+                for s, leader in enumerate(leaders)
+            ]
+            for vertex in deleted:
+                if vertex in sides[0]:
+                    vertex_side = 0
+                elif vertex in sides[1]:
+                    vertex_side = 1
+                else:
+                    continue
+                for s, leader in enumerate(leaders):
+                    if leader is None or leader.vertex == vertex:
+                        continue
+                    leader_cross = cross[s]
+                    if vertex_side == s:
+                        common = len(leader_cross.intersection(slices[vertex]))
+                        leader.butterfly_degree -= _choose2(common)
+                    elif vertex in leader_cross:
+                        loss = 0
+                        for u in sides[s].intersection(slices[vertex]):
+                            if u != leader.vertex:
+                                shared = len(leader_cross.intersection(slices[u]))
+                                if shared >= 1:
+                                    loss += shared - 1
+                        leader.butterfly_degree -= loss
+                sides[vertex_side].discard(vertex)
+                for s, leader in enumerate(leaders):
+                    if leader is not None and leader.vertex == vertex:
+                        leaders[s] = None
+                        cross[s] = None
+                    elif cross[s] is not None:
+                        cross[s].discard(vertex)
+
+    def revalidate(self) -> bool:
+        """:meth:`LeaderPairTracker.revalidate` on the live id sets."""
+        if self.leaders_satisfy_requirement():
+            return True
+        left = list(self._sides[0])
+        right = list(self._sides[1])
+        degrees = dict(
+            zip(left + right, masked_butterfly_degrees(self._slices, left, right))
+        )
+        self.full_recounts += 1
+        if self._instrumentation is not None:
+            self._instrumentation.record_butterfly_counting()
+        self._leaders = [
+            self._best_on_side(side, degrees, query)
+            for side, query in zip(self._sides, self._queries)
+        ]
+        return self.leaders_satisfy_requirement()
+
+    def _best_on_side(
+        self, side: Set[int], degrees: Dict[int, int], query: int
+    ) -> Optional[Leader]:
+        """:meth:`LeaderPairTracker._best_on_side` over ids."""
+        if not side:
+            return None
+        b_max = max(degrees[v] for v in side)
+        if query in side and degrees[query] > b_max / 2.0:
+            return Leader(query, degrees[query])
+        repr_of = lambda v: repr(self._vertex_of(v))  # noqa: E731 - tiny local alias
+        best = max((v for v in side if degrees[v] == b_max), key=repr_of)
+        return Leader(best, b_max)
 
 
 class _null_context:

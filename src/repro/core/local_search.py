@@ -33,11 +33,13 @@ from typing import Optional, Set
 from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
 from repro.core.kcore import core_decomposition
-from repro.core.lp_bcc import DEFAULT_RHO, run_lp_bcc
+from repro.core.g0_view import G0ViewTable, build_g0_view, connected_core
+from repro.core.lp_bcc import DEFAULT_RHO, lp_peel, run_lp_bcc
 from repro.core.path_weight import PathWeightConfig, butterfly_core_shortest_path
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import REASON_QUERY_DISCONNECTED, EmptyCommunityError
-from repro.graph.labeled_graph import LabeledGraph, Vertex
+from repro.graph.csr import masked_coreness
+from repro.graph.labeled_graph import LabeledGraph, Vertex, ordered_induced_subgraph
 from repro.graph.traversal import shortest_path
 
 
@@ -56,12 +58,34 @@ def expand_candidate_graph(
 ) -> LabeledGraph:
     """Expand a seed path into a candidate graph ``G_t`` (Algorithm 8, line 3).
 
+    ``G_t`` is the subgraph of ``graph`` induced by
+    :func:`expand_candidate_vertices`, listed in ``graph``'s vertex order.
+    """
+    return ordered_induced_subgraph(
+        graph,
+        expand_candidate_vertices(
+            graph, seed_path, index, left_label, right_label, k_left, k_right, eta
+        ),
+    )
+
+
+def expand_candidate_vertices(
+    graph: LabeledGraph,
+    seed_path,
+    index: BCIndex,
+    left_label,
+    right_label,
+    k_left: int,
+    k_right: int,
+    eta: int,
+) -> Set[Vertex]:
+    """The vertex set of the candidate graph ``G_t`` (Algorithm 8, line 3).
+
     Vertices are added in BFS order starting from the path; a vertex is
     admitted when it carries one of the two query labels and its indexed
     label-group coreness is at least the threshold of its side.  Expansion
     stops when the candidate exceeds ``eta`` vertices (the current BFS layer
-    is completed so the cut is deterministic).  Finally all edges of ``graph``
-    between admitted vertices are added.
+    is completed so the cut is deterministic).
     """
     admitted: Set[Vertex] = set()
     queue = deque()
@@ -85,7 +109,7 @@ def expand_candidate_graph(
                 continue
             admitted.add(neighbor)
             queue.append(neighbor)
-    return graph.induced_subgraph(admitted)
+    return admitted
 
 
 def _auto_core_parameter(
@@ -171,6 +195,7 @@ def run_l2p_bcc(
     instrumentation: Optional[SearchInstrumentation] = None,
     backend: str = "auto",
     groups=None,
+    views: Optional[G0ViewTable] = None,
 ) -> BCCResult:
     """L2P-BCC implementation registered as method ``"l2p-bcc"``.
 
@@ -179,6 +204,12 @@ def run_l2p_bcc(
     and ``groups`` optionally supplies cached label-induced subgraphs used
     by the global LP-BCC fallback.  Raises :class:`EmptyCommunityError`
     instead of returning ``None``.
+
+    With ``views`` (a prepared engine's :class:`~repro.core.g0_view.
+    G0ViewTable`) the candidate stays an id set: its cores come from a
+    masked peel of the engine's frozen CSR, the refinement is
+    :func:`repro.core.lp_bcc.lp_peel` on that uncached view, and the
+    global fallback is LP-BCC on the cached views.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
@@ -204,6 +235,30 @@ def run_l2p_bcc(
     right_on_path = [v for v in seed_path if graph.label(v) == right_label]
     k_left_threshold = min((index.coreness(v) for v in left_on_path), default=0)
     k_right_threshold = min((index.coreness(v) for v in right_on_path), default=0)
+
+    if views is not None:
+        return _refine_on_views(
+            graph,
+            views,
+            expand_candidate_vertices(
+                graph,
+                seed_path,
+                index,
+                left_label,
+                right_label,
+                k_left_threshold,
+                k_right_threshold,
+                eta,
+            ),
+            q_left,
+            q_right,
+            k1,
+            k2,
+            b,
+            rho,
+            max_iterations,
+            inst,
+        )
 
     # Line 3: local expansion into the candidate graph G_t.
     candidate = expand_candidate_graph(
@@ -261,6 +316,80 @@ def run_l2p_bcc(
             instrumentation=inst,
             backend=backend,
             groups=groups,
+        )
+    result.statistics.update(inst.as_dict())
+    return result
+
+
+def _refine_on_views(
+    graph: LabeledGraph,
+    views: G0ViewTable,
+    admitted: Set[Vertex],
+    q_left: Vertex,
+    q_right: Vertex,
+    k1: Optional[int],
+    k2: Optional[int],
+    b: int,
+    rho: int,
+    max_iterations: Optional[int],
+    inst: SearchInstrumentation,
+) -> BCCResult:
+    """Algorithm 8, lines 4-5, with the candidate ``G_t`` as an id mask.
+
+    The same steps as the object path of :func:`run_l2p_bcc` — core
+    parameters from the candidate's label groups, Algorithm 2 inside the
+    candidate, the LP-BCC refinement, the global fallback — without
+    building ``G_t``.
+    """
+    inst.add("candidate_vertices", float(len(admitted)))
+    csr = views.csr()
+    slices = csr.adjacency_slices()
+    left_label, right_label = graph.label(q_left), graph.label(q_right)
+    # The candidate's two label groups; seed-path vertices of other labels
+    # belong to neither, exactly as in G_t.label_induced_subgraph.
+    left_members = {csr.id_of(v) for v in admitted if graph.label(v) == left_label}
+    right_members = {csr.id_of(v) for v in admitted if graph.label(v) == right_label}
+    query_ids = (csr.id_of(q_left), csr.id_of(q_right))
+    left_coreness = masked_coreness(slices, left_members)
+    right_coreness = masked_coreness(slices, right_members)
+    # Line 4: core parameters default to the query vertices' coreness in
+    # the candidate's label groups.
+    if k1 is None:
+        k1 = left_coreness.get(query_ids[0], 0)
+    if k2 is None:
+        k2 = right_coreness.get(query_ids[1], 0)
+    parameters = BCCParameters(k1=k1, k2=k2, b=b)
+    left = connected_core(slices, left_members, left_coreness, k1, query_ids[0])
+    right = connected_core(slices, right_members, right_coreness, k2, query_ids[1])
+    view = None
+    if left is not None and right is not None:
+        view = build_g0_view(slices, left, right)
+        inst.record_butterfly_counting()
+    # Line 5: refine with the LP-BCC loop (bulk deletion of farthest vertices).
+    try:
+        result = lp_peel(
+            graph, csr, view, q_left, q_right, parameters,
+            bulk_deletion=True, rho=rho, max_iterations=max_iterations,
+            instrumentation=inst,
+        )
+    except EmptyCommunityError:
+        if len(admitted) >= graph.num_vertices():
+            raise
+        # As in the object path: fall back to the global search, here on
+        # the engine's cached views.
+        inst.add("fallback_to_global", 1.0)
+        result = run_lp_bcc(
+            graph,
+            q_left,
+            q_right,
+            k1=None if k1 == 0 else k1,
+            k2=None if k2 == 0 else k2,
+            b=b,
+            bulk_deletion=True,
+            rho=rho,
+            max_iterations=max_iterations,
+            instrumentation=inst,
+            views=views,
         )
     result.statistics.update(inst.as_dict())
     return result

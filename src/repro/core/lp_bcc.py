@@ -25,12 +25,17 @@ from typing import Optional, Set
 
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
 from repro.core.find_g0 import find_g0
-from repro.core.leader_pair import LeaderPairTracker, identify_leader_pair
-from repro.core.maintenance import maintain_bcc
-from repro.core.query_distance import QueryDistanceTracker
+from repro.core.g0_view import G0View, G0ViewTable, community_result, no_candidate
+from repro.core.leader_pair import (
+    LeaderPairTracker,
+    MaskedLeaderTracker,
+    identify_leader_masked,
+    identify_leader_pair,
+)
+from repro.core.maintenance import MaskedCommunity, maintain_bcc
+from repro.core.query_distance import MaskedDistanceTracker, QueryDistanceTracker
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
-    REASON_NO_CANDIDATE,
     REASON_NO_COMMUNITY,
     REASON_NO_LEADER_PAIR,
     EmptyCommunityError,
@@ -87,15 +92,31 @@ def run_lp_bcc(
     instrumentation: Optional[SearchInstrumentation] = None,
     backend: str = "auto",
     groups=None,
+    views: Optional[G0ViewTable] = None,
 ) -> BCCResult:
     """LP-BCC implementation registered as method ``"lp-bcc"``.
 
     Raises :class:`EmptyCommunityError` with a machine-readable ``reason``
     instead of returning ``None``; ``groups`` optionally supplies cached
-    label-induced subgraphs from a prepared engine.
+    label-induced subgraphs from a prepared engine.  With ``views`` (a
+    prepared engine's :class:`~repro.core.g0_view.G0ViewTable`) ``G0``
+    comes from the table and :func:`lp_peel` runs on id masks; without it
+    the object-graph loop below runs — the view path's parity oracle.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
+    if views is not None:
+        parameters = BCCParameters(
+            k1=k1 if k1 is not None else views.coreness(q_left),
+            k2=k2 if k2 is not None else views.coreness(q_right),
+            b=b,
+        )
+        view = views.view(q_left, q_right, parameters.k1, parameters.k2, inst)
+        return lp_peel(
+            graph, views.csr(), view, q_left, q_right, parameters,
+            bulk_deletion=bulk_deletion, rho=rho, max_iterations=max_iterations,
+            instrumentation=inst,
+        )
     parameters = BCCParameters.from_query(
         graph, q_left, q_right, k1=k1, k2=k2, b=b, groups=groups
     )
@@ -110,11 +131,7 @@ def run_lp_bcc(
         groups=groups,
     )
     if g0 is None:
-        raise EmptyCommunityError(
-            f"no maximal ({parameters.k1}, {parameters.k2}, {parameters.b})-BCC "
-            f"candidate contains the query pair",
-            reason=REASON_NO_CANDIDATE,
-        )
+        raise no_candidate(parameters)
 
     community = g0.community.copy()
     original = g0.community
@@ -207,6 +224,108 @@ def run_lp_bcc(
         right_label=right_label,
         parameters=parameters,
         leader_pair=best_leader_pair,
+        query_distance=best_distance,
+        iterations=iterations,
+        statistics=inst.as_dict(),
+    )
+
+
+def lp_peel(
+    graph: LabeledGraph,
+    csr,
+    view: Optional[G0View],
+    q_left: Vertex,
+    q_right: Vertex,
+    parameters: BCCParameters,
+    *,
+    bulk_deletion: bool,
+    rho: int,
+    max_iterations: Optional[int],
+    instrumentation: SearchInstrumentation,
+) -> BCCResult:
+    """The LP-BCC loop on id masks over ``csr``, starting from ``view``.
+
+    The engine path of :func:`run_lp_bcc` and of L2P-BCC's refinement (its
+    candidate's ``G0`` is an uncached view).  Mirrors the object loop step
+    for step: Algorithm 6 on the view's butterfly degrees, Algorithm 5 on
+    a :class:`MaskedDistanceTracker`, Algorithm 7 on a
+    :class:`MaskedLeaderTracker`, Algorithm 4 on a :class:`MaskedCommunity`.
+    ``view`` of ``None`` means Algorithm 2 found no candidate.
+    """
+    inst = instrumentation
+    if view is None or not view.admits(parameters.b):
+        raise no_candidate(parameters)
+    slices = csr.adjacency_slices()
+    query_ids = (csr.id_of(q_left), csr.id_of(q_right))
+    community = MaskedCommunity(slices, view, parameters)
+    chi = dict(zip(view.ids, view.chi))
+    leader_tracker = MaskedLeaderTracker(
+        slices, view.left, view.right, query_ids, parameters.b, csr.vertex_of, inst
+    )
+    leader_tracker.set_leaders(
+        identify_leader_masked(
+            slices, view.left, community.left, query_ids[0], chi,
+            view.max_left, parameters.b, rho,
+        ),
+        identify_leader_masked(
+            slices, view.right, community.right, query_ids[1], chi,
+            view.max_right, parameters.b, rho,
+        ),
+    )
+    if not leader_tracker.revalidate():
+        raise EmptyCommunityError(
+            f"no leader pair with butterfly degree >= {parameters.b} exists in G0",
+            reason=REASON_NO_LEADER_PAIR,
+        )
+    with inst.time_query_distance():
+        distance_tracker = MaskedDistanceTracker(slices, community.alive, query_ids)
+
+    order = view.ids
+    best_ids: Optional[Set[int]] = None
+    best_distance = math.inf
+    best_leader_pair = leader_tracker.leader_pair()
+    iterations = 0
+    while True:
+        with inst.time_query_distance():
+            current_distance, candidates, max_distance = distance_tracker.sweep(order)
+        if current_distance < best_distance:
+            best_distance = current_distance
+            best_ids = set(community.alive)
+            best_leader_pair = leader_tracker.leader_pair()
+        if not candidates or max_distance <= 0:
+            break
+        if max_iterations is not None and iterations >= max_iterations:
+            break
+        valid, removed = community.maintain(
+            candidates if bulk_deletion else candidates[:1],
+            query_ids,
+            check_butterfly=False,
+            instrumentation=inst,
+        )
+        iterations += 1
+        inst.record_iteration(deleted=len(removed))
+        if not valid:
+            break
+        with inst.time_query_distance():
+            distance_tracker.remove_vertices(removed)
+        if query_ids[1] not in distance_tracker.distances[0]:
+            break  # Algorithm 4's last check: the query pair disconnected
+        leader_tracker.remove_vertices(removed)
+        if not leader_tracker.revalidate():
+            break
+
+    if best_ids is None:
+        raise EmptyCommunityError(reason=REASON_NO_COMMUNITY)
+    inst.add("leader_full_recounts", float(leader_tracker.full_recounts))
+    inst.add("distance_partial_updates", float(distance_tracker.partial_updates))
+    inst.add("distance_full_recomputations", float(distance_tracker.full_recomputations))
+    vertex_of = csr.vertex_of
+    return community_result(
+        graph, csr, best_ids, parameters, q_left, q_right,
+        leader_pair=(
+            None if best_leader_pair is None
+            else (vertex_of(best_leader_pair[0]), vertex_of(best_leader_pair[1]))
+        ),
         query_distance=best_distance,
         iterations=iterations,
         statistics=inst.as_dict(),

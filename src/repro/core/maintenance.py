@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core.bcc_model import BCCParameters
 from repro.core.butterfly import butterfly_degrees, max_butterfly_degree_per_side
 from repro.graph.bipartite import BipartiteView, extract_bipartite
+from repro.graph.csr import masked_side_reaches
 from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
 from repro.graph.traversal import are_connected
 
@@ -183,3 +184,98 @@ def maintain_bcc(
         bipartite=bipartite,
         butterfly_degrees=degrees,
     )
+
+
+class MaskedCommunity:
+    """Algorithm 4 on id masks: a shrinking ``G0`` over one frozen CSR.
+
+    The object-graph :func:`maintain_bcc` deletes vertices from a
+    :class:`LabeledGraph` copy of ``G0``.  Here the community is three sets
+    of live ids over the engine's shared CSR adjacency (all, left side,
+    right side) plus each live id's intra-group degree, seeded from a
+    :class:`repro.core.g0_view.G0View`.  A deletion batch discards ids and
+    decrements their same-side neighbours' degrees; a degree falling below
+    ``k`` cascades exactly as :func:`maintain_label_core` does, so the
+    surviving sides are the same maximal k-cores.
+
+    Parameters
+    ----------
+    slices:
+        The frozen graph's per-id adjacency slices.
+    view:
+        The :class:`~repro.core.g0_view.G0View` to start from.
+    parameters:
+        The query's (k1, k2, b).
+    """
+
+    __slots__ = ("slices", "alive", "left", "right", "intra", "k1", "k2", "b")
+
+    def __init__(self, slices, view, parameters: BCCParameters) -> None:
+        self.slices = slices
+        self.left: Set[int] = set(view.left)
+        self.right: Set[int] = set(view.right)
+        self.alive: Set[int] = self.left | self.right
+        self.intra: Dict[int, int] = dict(zip(view.ids, view.intra))
+        self.k1 = parameters.k1
+        self.k2 = parameters.k2
+        self.b = parameters.b
+
+    def _cascade(self, seeds: Sequence[int], side: Set[int], k: int) -> list:
+        """Delete the ``seeds`` that lie in ``side``; peel it back to a k-core."""
+        slices = self.slices
+        alive = self.alive
+        intra = self.intra
+        removed = []
+        for vertex in seeds:
+            if vertex in side:
+                side.discard(vertex)
+                alive.discard(vertex)
+                removed.append(vertex)
+        queue = list(removed)
+        while queue:
+            for neighbor in side.intersection(slices[queue.pop()]):
+                degree = intra[neighbor] - 1
+                intra[neighbor] = degree
+                if degree < k:
+                    side.discard(neighbor)
+                    alive.discard(neighbor)
+                    removed.append(neighbor)
+                    queue.append(neighbor)
+        return removed
+
+    def has_leader_pair(self) -> bool:
+        """Def. 4, condition 4: each side has a vertex with χ >= b."""
+        b = self.b
+        if not masked_side_reaches(self.slices, self.left, self.right, b):
+            return False
+        # With b == 1 a butterfly through a left vertex also has two right
+        # members, so the right side needs no scan of its own.
+        return b <= 1 or masked_side_reaches(self.slices, self.right, self.left, b)
+
+    def maintain(
+        self,
+        removals: Iterable[int],
+        query_ids: Sequence[int],
+        check_butterfly: bool = True,
+        instrumentation=None,
+    ) -> Tuple[bool, list]:
+        """Run Algorithm 4 for one deletion batch; return ``(valid, removed)``.
+
+        The checks follow :func:`maintain_bcc` in order — query vertices
+        survive, both sides stay non-empty, and (when ``check_butterfly``)
+        a leader pair exists — except connectivity of the query vertices,
+        which the callers read off their next distance sweep.
+        """
+        removals = list(removals)
+        removed = self._cascade(removals, self.left, self.k1)
+        removed += self._cascade(removals, self.right, self.k2)
+        if any(q not in self.alive for q in query_ids):
+            return False, removed
+        if not self.left or not self.right:
+            return False, removed
+        if check_butterfly:
+            if instrumentation is not None:
+                instrumentation.record_butterfly_counting()
+            if not self.has_leader_pair():
+                return False, removed
+        return True, removed

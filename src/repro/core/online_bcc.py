@@ -11,7 +11,10 @@ optimum.
 The implementation keeps a single working graph and records only the vertex
 set of the best candidate seen so far: every intermediate graph is an induced
 subgraph of ``G0`` (the search deletes vertices, never individual edges), so
-the winning community can be re-induced from ``G0`` at the end.
+the winning community can be re-induced from ``G0`` at the end.  On a
+prepared engine the working graph is not a graph at all: ``G0`` is a cached
+view (:mod:`repro.core.g0_view`) and the loop shrinks a set of live ids over
+the engine's frozen CSR.
 """
 
 from __future__ import annotations
@@ -21,17 +24,17 @@ from typing import Optional, Sequence, Set
 
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
 from repro.core.find_g0 import find_g0
-from repro.core.maintenance import maintain_bcc
+from repro.core.g0_view import G0ViewTable, community_result, no_candidate
+from repro.core.maintenance import MaskedCommunity, maintain_bcc
+from repro.core.query_distance import masked_distance_sweep
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
-    REASON_NO_CANDIDATE,
     REASON_NO_COMMUNITY,
     EmptyCommunityError,
 )
-from repro.graph.csr import csr_bfs_distances
+from repro.graph.csr import masked_bfs
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import (
-    INFINITE_DISTANCE,
     farthest_vertices,
     graph_query_distance,
     query_distances,
@@ -77,12 +80,13 @@ def online_bcc_search(
     instrumentation:
         Optional counters (butterfly-counting calls, timings).
     use_fast_path:
-        When True (default), the per-iteration query-distance sweep runs on
-        a CSR snapshot of ``G0`` with a dead-id mask (the greedy loop only
-        ever deletes vertices, so the snapshot stays valid for the whole
-        search).  The result is identical either way — same community, same
-        query distance, same iteration count; only the sweep substrate
-        differs.
+        When True (default), ``G0`` comes from the engine's component-keyed
+        view table and the greedy loop peels an id mask over the engine's
+        frozen CSR (the loop only ever deletes vertices, so the snapshot
+        stays valid for the whole search).  False runs the loop on an
+        object-graph copy of ``G0``.  The result is identical either way —
+        same community, same query distance, same iteration count; only the
+        substrate differs.
 
     Returns
     -------
@@ -117,6 +121,7 @@ def run_online_bcc(
     use_fast_path: bool = True,
     backend: str = "auto",
     groups=None,
+    views: Optional[G0ViewTable] = None,
 ) -> BCCResult:
     """Algorithm 1 implementation registered as method ``"online-bcc"``.
 
@@ -125,9 +130,30 @@ def run_online_bcc(
     optionally supplies cached label-induced subgraphs.  Raises
     :class:`EmptyCommunityError` (with a machine-readable ``reason``) when no
     community exists instead of returning ``None``.
+
+    ``views`` is a prepared engine's :class:`~repro.core.g0_view.
+    G0ViewTable`.  With it (and ``use_fast_path``) ``G0`` comes from the
+    table and the peel runs on id masks over the engine's frozen CSR; only
+    the returned community is built as a graph.  Without it the search runs
+    on object-graph copies of ``G0`` — the parity oracle of the view path.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
+    if views is not None and use_fast_path:
+        return _online_bcc_on_view(
+            graph,
+            views,
+            q_left,
+            q_right,
+            BCCParameters(
+                k1=k1 if k1 is not None else views.coreness(q_left),
+                k2=k2 if k2 is not None else views.coreness(q_right),
+                b=b,
+            ),
+            bulk_deletion,
+            max_iterations,
+            inst,
+        )
     parameters = BCCParameters.from_query(
         graph, q_left, q_right, k1=k1, k2=k2, b=b, groups=groups
     )
@@ -142,71 +168,21 @@ def run_online_bcc(
         groups=groups,
     )
     if g0 is None:
-        raise EmptyCommunityError(
-            f"no maximal ({parameters.k1}, {parameters.k2}, {parameters.b})-BCC "
-            f"candidate contains the query pair",
-            reason=REASON_NO_CANDIDATE,
-        )
+        raise no_candidate(parameters)
 
     community = g0.community.copy()
     original = g0.community
     query = [q_left, q_right]
-
-    if use_fast_path:
-        # The sweep substrate: G0 frozen once, shrunk via a dead-id mask.
-        frozen = original.freeze()
-        dead: Set[int] = set()
-        query_ids = [frozen.id_of(q) for q in query]
-        vertex_of = frozen.vertex_of
-        all_ids = range(frozen.num_vertices())
 
     best_vertices: Optional[Set[Vertex]] = None
     best_distance = math.inf
     iterations = 0
 
     while True:
-        if use_fast_path:
-            with inst.time_query_distance():
-                dist_maps = [
-                    csr_bfs_distances(frozen, qid, dead=dead) for qid in query_ids
-                ]
-                # One pass over the surviving ids computes dist(G, Q), the
-                # farthest vertex set and its distance, mirroring
-                # graph_query_distance + farthest_vertices exactly (including
-                # iteration order, which follows the freeze order of G0).
-                current_distance = 0.0
-                unreachable = False
-                max_distance = -1.0
-                candidate_ids: list = []
-                dist_left, dist_right = dist_maps[0], dist_maps[1]
-                qid_left, qid_right = query_ids[0], query_ids[1]
-                for vid in all_ids:
-                    if vid in dead:
-                        continue
-                    d_l = dist_left[vid]
-                    d_r = dist_right[vid]
-                    if d_l < 0 or d_r < 0:
-                        value = INFINITE_DISTANCE
-                        unreachable = True
-                    else:
-                        value = d_l if d_l >= d_r else d_r
-                    if value > current_distance:
-                        current_distance = value
-                    if vid == qid_left or vid == qid_right:
-                        continue
-                    if value > max_distance:
-                        max_distance = value
-                        candidate_ids = [vid]
-                    elif value == max_distance:
-                        candidate_ids.append(vid)
-                if unreachable:
-                    current_distance = INFINITE_DISTANCE
-            candidates = [vertex_of(vid) for vid in candidate_ids]
-        else:
-            with inst.time_query_distance():
-                distance_maps = query_distances(community, query)
-                current_distance = graph_query_distance(community, query, distance_maps)
-            candidates, max_distance = farthest_vertices(community, query, distance_maps)
+        with inst.time_query_distance():
+            distance_maps = query_distances(community, query)
+            current_distance = graph_query_distance(community, query, distance_maps)
+        candidates, max_distance = farthest_vertices(community, query, distance_maps)
         if current_distance < best_distance:
             best_distance = current_distance
             best_vertices = set(community.vertices())
@@ -227,9 +203,6 @@ def run_online_bcc(
         )
         iterations += 1
         inst.record_iteration(deleted=len(outcome.removed))
-        if use_fast_path:
-            for removed in outcome.removed:
-                dead.add(frozen.id_of(removed))
         if not outcome.valid:
             break
 
@@ -249,3 +222,71 @@ def run_online_bcc(
         statistics=inst.as_dict(),
     )
     return result
+
+
+def _online_bcc_on_view(
+    graph: LabeledGraph,
+    views: G0ViewTable,
+    q_left: Vertex,
+    q_right: Vertex,
+    parameters: BCCParameters,
+    bulk_deletion: bool,
+    max_iterations: Optional[int],
+    inst: SearchInstrumentation,
+) -> BCCResult:
+    """Algorithm 1 over a cached G0 view, peeling an id mask.
+
+    Mirrors :func:`run_online_bcc`'s object loop step for step: the same
+    farthest set in the same (canonical) order, the same Algorithm 4
+    checks, the same iteration count and best community.
+    """
+    view = views.view(q_left, q_right, parameters.k1, parameters.k2, inst)
+    if view is None or not view.admits(parameters.b):
+        raise no_candidate(parameters)
+    csr = views.csr()
+    slices = csr.adjacency_slices()
+    query_ids = (csr.id_of(q_left), csr.id_of(q_right))
+    community = MaskedCommunity(slices, view, parameters)
+    alive = community.alive
+    order = view.ids
+
+    best_ids: Optional[Set[int]] = None
+    best_distance = math.inf
+    iterations = 0
+    with inst.time_query_distance():
+        dist_left = masked_bfs(slices, query_ids[0], alive)
+        dist_right = masked_bfs(slices, query_ids[1], alive)
+    while True:
+        with inst.time_query_distance():
+            current_distance, candidates, max_distance = masked_distance_sweep(
+                order, alive, dist_left, dist_right, query_ids
+            )
+        if current_distance < best_distance:
+            best_distance = current_distance
+            best_ids = set(alive)
+        if not candidates or max_distance <= 0:
+            break
+        if max_iterations is not None and iterations >= max_iterations:
+            break
+        valid, removed = community.maintain(
+            candidates if bulk_deletion else candidates[:1],
+            query_ids,
+            check_butterfly=True,
+            instrumentation=inst,
+        )
+        iterations += 1
+        inst.record_iteration(deleted=len(removed))
+        if not valid:
+            break
+        with inst.time_query_distance():
+            dist_left = masked_bfs(slices, query_ids[0], alive)
+            if query_ids[1] not in dist_left:
+                break  # Algorithm 4's last check: the query pair disconnected
+            dist_right = masked_bfs(slices, query_ids[1], alive)
+
+    if best_ids is None:
+        raise EmptyCommunityError(reason=REASON_NO_COMMUNITY)
+    return community_result(
+        graph, csr, best_ids, parameters, q_left, q_right,
+        query_distance=best_distance, iterations=iterations, statistics=inst.as_dict(),
+    )

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.csr import csr_bfs_distances, csr_multi_source_bfs
+from repro.graph.csr import csr_bfs_distances, csr_multi_source_bfs, masked_bfs
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import INFINITE_DISTANCE, bfs_distances, multi_source_bfs
 
@@ -332,3 +332,106 @@ class QueryDistanceTracker:
                 if vid not in self._dead
             }
         return dict(self._distances.get(query, {}))
+
+
+def masked_distance_sweep(
+    order: Sequence[int],
+    alive: Set[int],
+    dist_left: Dict[int, int],
+    dist_right: Dict[int, int],
+    query_ids: Sequence[int],
+) -> Tuple[float, List[int], float]:
+    """One pass over the live ids of ``order``: ``dist(G, Q)`` and the farthest ids.
+
+    Returns ``(graph distance, farthest non-query ids, their distance)``,
+    exactly what :func:`repro.graph.traversal.graph_query_distance` and
+    :func:`repro.graph.traversal.farthest_vertices` compute on an object
+    graph whose iteration order is ``order``; ids missing from a distance
+    map are unreachable (``inf``).
+    """
+    current = 0.0
+    best = -1.0
+    farthest: List[int] = []
+    for vid in order:
+        if vid not in alive:
+            continue
+        d_l = dist_left.get(vid)
+        d_r = dist_right.get(vid)
+        if d_l is None or d_r is None:
+            value = INFINITE_DISTANCE
+        else:
+            value = d_l if d_l >= d_r else d_r
+        if value > current:
+            current = value
+        if vid in query_ids:
+            continue
+        if value > best:
+            best = value
+            farthest = [vid]
+        elif value == best:
+            farthest.append(vid)
+    return current, farthest, best
+
+
+class MaskedDistanceTracker:
+    """Algorithm 5 on id masks: per-query distances over a shrinking id set.
+
+    The id-mask counterpart of :class:`QueryDistanceTracker`.  ``alive`` is
+    the community's live-id set, shared with (and shrunk by) its
+    :class:`repro.core.maintenance.MaskedCommunity`; the tracker never
+    mutates it.  After each deletion batch :meth:`remove_vertices` keeps
+    every distance ``<= d_min`` (the closest deleted vertex) and
+    re-explores only the region beyond it from the frontier at ``d_min``.
+    Distance maps hold reached ids only; a missing id is at ``inf``.
+    """
+
+    def __init__(
+        self, slices, alive: Set[int], query_ids: Sequence[int]
+    ) -> None:
+        self._slices = slices
+        self._alive = alive
+        self.query_ids: Tuple[int, ...] = tuple(query_ids)
+        self.full_recomputations = 0
+        self.partial_updates = 0
+        self.distances: List[Dict[int, int]] = []
+        for qid in self.query_ids:
+            self.full_recomputations += 1
+            self.distances.append(masked_bfs(slices, qid, alive))
+
+    def remove_vertices(self, deleted: Iterable[int]) -> None:
+        """Update every map after ``deleted`` left ``alive`` (Algorithm 5)."""
+        deleted = list(deleted)
+        if not deleted:
+            return
+        for index, old in enumerate(self.distances):
+            self.partial_updates += 1
+            known = [old[v] for v in deleted if v in old]
+            for vid in deleted:
+                old.pop(vid, None)
+            if not known:
+                continue  # every deleted vertex was unreachable: nothing moves
+            d_min = min(known)
+            settled = {v: d for v, d in old.items() if d <= d_min}
+            remaining = self._alive.difference(settled)
+            frontier = [v for v, d in settled.items() if d == d_min]
+            level = d_min
+            slices = self._slices
+            while frontier and remaining:
+                level += 1
+                reached: Set[int] = set()
+                update = reached.update
+                for u in frontier:
+                    update(slices[u])
+                reached &= remaining
+                if not reached:
+                    break
+                remaining -= reached
+                settled.update(dict.fromkeys(reached, level))
+                frontier = reached
+            self.distances[index] = settled
+
+    def sweep(self, order: Sequence[int]) -> Tuple[float, List[int], float]:
+        """:func:`masked_distance_sweep` over the tracked maps."""
+        return masked_distance_sweep(
+            order, self._alive, self.distances[0], self.distances[1], self.query_ids
+        )

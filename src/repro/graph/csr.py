@@ -43,10 +43,11 @@ The object-facing kernels (:func:`repro.core.butterfly.butterfly_degrees`,
 the graph is large enough for the freeze cost to be recovered and falls
 back to the object code on small inputs; both paths return exactly the same
 values (the randomized parity suite in ``tests/core/test_backend_parity.py``
-enforces this).  The search drivers (:func:`repro.core.online_bcc.
-online_bcc_search`, :class:`repro.core.query_distance.QueryDistanceTracker`)
-freeze the candidate community once and sweep over the flat arrays with a
-``dead`` mask.
+enforces this).  On a prepared engine the Online-/LP-BCC searches run on
+the graph's one snapshot with live-id sets (the id-mask kernels at the end
+of this module, driven by :mod:`repro.core.g0_view`);
+:class:`repro.core.query_distance.QueryDistanceTracker` freezes its
+community once and sweeps with a ``dead`` mask.
 
 The adjacency is built and iterated as flat plain lists — CPython re-boxes
 every ``array`` element on access while list elements are shared references,
@@ -809,3 +810,138 @@ def csr_multi_source_bfs(
                         max_level = next_level
         level += 1
     return dist
+
+
+# ----------------------------------------------------------------------
+# Id-mask kernels: a vertex subset of one frozen graph, no copy
+# ----------------------------------------------------------------------
+# The G0 views of :mod:`repro.core.g0_view` keep a shrinking community as
+# plain sets of live ids over the engine's one frozen CSR.  These kernels
+# take the shared adjacency slices plus such a set and never touch ids
+# outside it, so a query's working graph is a mask, not a copy.
+
+
+def masked_bfs(
+    slices: Sequence[Sequence[int]],
+    source: int,
+    alive: Set[int],
+    max_depth: Optional[int] = None,
+) -> Dict[int, int]:
+    """Return ``{id: hops}`` from ``source`` within the subgraph induced by ``alive``.
+
+    Level-synchronous like :func:`csr_bfs_distances`, with each frontier's
+    candidates intersected with ``alive`` at C speed.  Unreached ids are
+    absent from the result; ``source`` must be live.
+    """
+    dist = {source: 0}
+    frontier: Iterable[int] = (source,)
+    depth = 0
+    while frontier:
+        if max_depth is not None and depth >= max_depth:
+            break
+        depth += 1
+        reached: Set[int] = set()
+        update = reached.update
+        for u in frontier:
+            update(slices[u])
+        reached &= alive
+        reached.difference_update(dist)
+        if not reached:
+            break
+        dist.update(dict.fromkeys(reached, depth))
+        frontier = reached
+    return dist
+
+
+def masked_coreness(
+    slices: Sequence[Sequence[int]], members: Set[int]
+) -> Dict[int, int]:
+    """Return the coreness of every id in ``members`` within ``G[members]``.
+
+    The bucket peel of :func:`csr_core_decomposition`, restricted to the
+    mask: degrees count only neighbours inside ``members``.
+    """
+    degree = {v: len(members.intersection(slices[v])) for v in members}
+    if not degree:
+        return {}
+    buckets: List[List[int]] = [[] for _ in range(max(degree.values()) + 1)]
+    for v, d in degree.items():
+        buckets[d].append(v)
+    core: Dict[int, int] = {}
+    k = 0
+    for d in range(len(buckets)):
+        queue = buckets[d]
+        i = 0
+        while i < len(queue):
+            v = queue[i]
+            i += 1
+            dv = degree[v]
+            if dv > d or v in core:
+                continue  # re-bucketed at another degree, or already peeled
+            if dv > k:
+                k = dv
+            core[v] = k
+            for u in slices[v]:
+                du = degree.get(u)
+                if du is not None and du > dv and u not in core:
+                    du -= 1
+                    degree[u] = du
+                    if du <= d:
+                        queue.append(u)
+                    else:
+                        buckets[du].append(u)
+    return core
+
+
+def masked_butterfly_degrees(
+    slices: Sequence[Sequence[int]], left: Sequence[int], right: Sequence[int]
+) -> List[int]:
+    """Return χ per id of the bipartite graph between ``left`` and ``right``.
+
+    The cross edges are the frozen edges joining the two id sets; the
+    counts come from :func:`csr_butterfly_degrees` over a local
+    :class:`CSRBipartiteView`, so they are exact.  The result is aligned
+    with ``list(left) + list(right)``.
+    """
+    order = list(left)
+    n_left = len(order)
+    order.extend(right)
+    position = {v: i for i, v in enumerate(order)}
+    left_set = set(order[:n_left])
+    right_set = set(order[n_left:])
+    offsets = [0]
+    neighbors: List[int] = []
+    for i, v in enumerate(order):
+        other = right_set if i < n_left else left_set
+        neighbors.extend(map(position.__getitem__, other.intersection(slices[v])))
+        offsets.append(len(neighbors))
+    view = CSRBipartiteView(VertexInterner(range(len(order))), offsets, neighbors, n_left)
+    return csr_butterfly_degrees(view)
+
+
+def masked_side_reaches(
+    slices: Sequence[Sequence[int]], side: Set[int], other: Set[int], b: int
+) -> bool:
+    """Return ``True`` when some id of ``side`` has butterfly degree >= ``b``.
+
+    The bipartite graph is the one between the live sets ``side`` and
+    ``other``.  Each vertex's χ is counted from its own wedges (Algorithm 3
+    for one vertex) and the scan stops at the first vertex that reaches
+    ``b`` — the existence test Def. 4 needs, without a full recount.
+    """
+    if b <= 0:
+        return bool(side)
+    for v in side:
+        wedge_ends: List[int] = []
+        extend = wedge_ends.extend
+        for u in other.intersection(slices[v]):
+            extend(side.intersection(slices[u]))
+        if len(wedge_ends) < 2:
+            continue
+        total = 0
+        for w, c in Counter(wedge_ends).items():
+            if c > 1 and w != v:
+                total += c * (c - 1) // 2
+                if total >= b:
+                    return True
+    return False

@@ -403,3 +403,29 @@ def union_graphs(*graphs: LabeledGraph) -> LabeledGraph:
     for graph in graphs:
         merged.merge(graph)
     return merged
+
+
+def ordered_induced_subgraph(graph: LabeledGraph, vertices: Iterable[Vertex]) -> LabeledGraph:
+    """Return ``G[vertices]`` listing its vertices in ``graph``'s iteration order.
+
+    :meth:`LabeledGraph.induced_subgraph` lists vertices in hash-set order,
+    which depends on the set's layout (and, for string vertices, on the
+    interpreter's hash seed).  Searches whose tie breaks follow vertex
+    order build their working graphs with this helper instead, so the
+    order is the input graph's own — the order of its frozen CSR ids.
+    """
+    adj = graph._adj  # friend access, as in CSRGraph.freeze
+    keep = {v for v in vertices if v in adj}
+    if graph.has_frozen():
+        order = sorted(keep, key=graph.freeze().id_of)
+    else:
+        order = [v for v in adj if v in keep]
+    labels = graph._labels
+    sub = LabeledGraph()
+    for v in order:
+        sub.add_vertex(v, label=labels[v])
+    for v in order:
+        for w in adj[v]:
+            if w in keep:
+                sub.add_edge(v, w)
+    return sub

@@ -66,6 +66,8 @@ EXPORTED_COUNTERS = frozenset(
         "process_batches",
         "process_tasks",
         "process_fallbacks",
+        "g0_view_builds",
+        "g0_view_hits",
         # ShardedBCCEngine router (repro/serving/sharded.py)
         "partitions",
         "cross_shard_queries",

@@ -60,7 +60,7 @@ import time
 import uuid
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.api.engine import (
     deadline_seconds_for,
@@ -132,6 +132,16 @@ class _ClientError(Exception):
         self.code = code
 
 
+class _Reply(NamedTuple):
+    """Internal: an encoded answer, built first and written last — after
+    the request's trace has closed and its access-log line is out."""
+
+    status: int
+    body: bytes
+    headers: Tuple[Tuple[str, str], ...] = ()
+    content_type: str = "application/json; charset=utf-8"
+
+
 class _GatewayHTTPServer(ThreadingHTTPServer):
     """One daemon thread per connection; the gateway object rides along."""
 
@@ -197,38 +207,31 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         }
         ACCESS_LOGGER.info("%s", json.dumps(record, sort_keys=True))
 
-    def _send_json(
-        self,
+    @staticmethod
+    def _json_reply(
         status: int,
         payload: object,
         headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> int:
-        body = json_dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
+    ) -> "_Reply":
+        """Encode a JSON answer without sending it (see :meth:`_write_reply`)."""
+        return _Reply(status, json_dumps(payload).encode("utf-8"), headers)
+
+    def _write_reply(self, reply: "_Reply") -> None:
+        """Put an encoded answer on the wire."""
+        self.send_response(reply.status)
+        self.send_header("Content-Type", reply.content_type)
+        self.send_header("Content-Length", str(len(reply.body)))
         self.send_header("X-Request-Id", self.request_id)
-        for name, value in headers:
+        for name, value in reply.headers:
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
-        return status
+        self.wfile.write(reply.body)
 
-    def _send_error_json(self, status: int, code: str, message: str) -> int:
-        return self._send_json(
+    def _error_reply(self, status: int, code: str, message: str) -> "_Reply":
+        return self._json_reply(
             status,
             {"error": message, "code": code, "request_id": self.request_id},
         )
-
-    def _send_text(self, status: int, body: str, content_type: str) -> int:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.send_header("X-Request-Id", self.request_id)
-        self.end_headers()
-        self.wfile.write(data)
-        return status
 
     def _read_body(self) -> bytes:
         length_header = self.headers.get("Content-Length")
@@ -265,34 +268,40 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 # A gateway whose every replica of some graph is ejected is
                 # not healthy: load balancers reading /healthz should stop
                 # sending it traffic until a probe re-admits a replica.
-                status = self._send_json(
+                reply = self._json_reply(
                     503 if payload["status"] == "down" else 200, payload
                 )
             elif self.path == "/graphs":
-                status = self._send_json(
-                    200, {"graphs": gateway.directory.names()}
-                )
+                reply = self._json_reply(200, {"graphs": gateway.directory.names()})
             elif self.path == "/stats":
-                status = self._send_json(200, gateway.directory.stats_payload())
+                reply = self._json_reply(200, gateway.directory.stats_payload())
             elif self.path == "/metrics":
-                status = self._send_text(
+                reply = _Reply(
                     200,
-                    gateway.observability.registry.render_prometheus(),
-                    "text/plain; version=0.0.4; charset=utf-8",
+                    gateway.observability.registry.render_prometheus().encode("utf-8"),
+                    content_type="text/plain; version=0.0.4; charset=utf-8",
                 )
             elif self.path == "/debug/slow":
-                status = self._send_json(
-                    200, gateway.observability.slow_log.payload()
-                )
+                reply = self._json_reply(200, gateway.observability.slow_log.payload())
             else:
-                status = self._send_error_json(
+                reply = self._error_reply(
                     404, "not-found", f"no such endpoint: {self.path}"
                 )
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            return
         except Exception as exc:  # pragma: no cover - defensive boundary
-            status = self._send_error_json(500, "internal", repr(exc))
-        self._access_log("GET", status, started)
+            reply = self._error_reply(500, "internal", repr(exc))
+        self._finish("GET", reply, started)
+
+    def _finish(self, method: str, reply: "_Reply", started: float) -> None:
+        """Log the request, then write its answer.
+
+        In this order a client that holds its answer can already find the
+        access-log line (and, for a POST, the closed trace).
+        """
+        self._access_log(method, reply.status, started)
+        try:
+            self._write_reply(reply)
+        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
+            pass  # the client went away; nothing more to send
 
     # ------------------------------------------------------------------
     # POST endpoints (query serving; bounded admission)
@@ -307,8 +316,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             # The body was never read: the keep-alive stream is desynced,
             # so answer and drop the connection.
             self.close_connection = True
-            status = self._send_error_json(exc.status, exc.code, str(exc))
-            self._access_log("POST", status, started)
+            self._finish("POST", self._error_reply(exc.status, exc.code, str(exc)), started)
             return
         if not gateway.try_acquire():
             gateway.count("rejections")
@@ -316,7 +324,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             # 429 answer rides out on a closing connection, which also
             # stops a retrying client from hammering a warm socket.
             self.close_connection = True
-            status = self._send_json(
+            reply = self._json_reply(
                 429,
                 {
                     "error": (
@@ -329,50 +337,55 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 },
                 headers=(("Retry-After", str(gateway.retry_after_seconds)),),
             )
-            self._access_log("POST", status, started)
+            self._finish("POST", reply, started)
             return
         try:
             gateway.count("requests")
-            # A no-op until tracing is enabled; once on, the whole POST
-            # (routing, failover, kernels, even process-pool workers) hangs
-            # its spans off this request-id-keyed trace.
-            with gateway.observability.tracer.trace(
-                self.request_id, path=self.path
-            ):
-                status = self._serve_post(name, verb)
-        except _ClientError as exc:
-            status = self._send_error_json(exc.status, exc.code, str(exc))
-        except AllReplicasEjectedError as exc:
-            # Every replica of the graph is ejected and no degraded answer
-            # was available: tell the client when to come back instead of
-            # hanging or answering 500.
-            gateway.count("unavailable")
-            status = self._send_json(
-                503,
-                {
-                    "error": str(exc),
-                    "code": "unavailable",
-                    "request_id": self.request_id,
-                    "retry_after_seconds": gateway.retry_after_seconds,
-                },
-                headers=(("Retry-After", str(gateway.retry_after_seconds)),),
-            )
-        except GraphNotFoundError as exc:
-            status = self._send_json(
-                404,
-                {"error": str(exc), "code": "graph-not-found",
-                 "graph": str(exc.name)},
-            )
-        except ProtocolError as exc:
-            status = self._send_error_json(400, "bad-request", str(exc))
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            status = 499  # client went away; nothing to send
-        except Exception as exc:  # pragma: no cover - defensive boundary
-            gateway.count("errors")
-            status = self._send_error_json(500, "internal", repr(exc))
+            try:
+                # A no-op until tracing is enabled; once on, the whole POST
+                # (routing, failover, kernels, even process-pool workers)
+                # hangs its spans off this request-id-keyed trace.  The
+                # trace — answer encoding included — closes, and reaches
+                # the slow log, before a byte of the answer is written, so
+                # a client that has its answer can already read the trace.
+                with gateway.observability.tracer.trace(
+                    self.request_id, path=self.path
+                ):
+                    reply = self._serve_post(name, verb)
+            except _ClientError as exc:
+                reply = self._error_reply(exc.status, exc.code, str(exc))
+            except AllReplicasEjectedError as exc:
+                # Every replica of the graph is ejected and no degraded
+                # answer was available: tell the client when to come back
+                # instead of hanging or answering 500.
+                gateway.count("unavailable")
+                reply = self._json_reply(
+                    503,
+                    {
+                        "error": str(exc),
+                        "code": "unavailable",
+                        "request_id": self.request_id,
+                        "retry_after_seconds": gateway.retry_after_seconds,
+                    },
+                    headers=(("Retry-After", str(gateway.retry_after_seconds)),),
+                )
+            except GraphNotFoundError as exc:
+                reply = self._json_reply(
+                    404,
+                    {"error": str(exc), "code": "graph-not-found",
+                     "graph": str(exc.name)},
+                )
+            except ProtocolError as exc:
+                reply = self._error_reply(400, "bad-request", str(exc))
+            except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
+                self._access_log("POST", 499, started)  # client went away
+                return
+            except Exception as exc:  # pragma: no cover - defensive boundary
+                gateway.count("errors")
+                reply = self._error_reply(500, "internal", repr(exc))
+            self._finish("POST", reply, started)
         finally:
             gateway.release()
-        self._access_log("POST", status, started)
 
     def _route_post(self) -> Tuple[str, str]:
         parts = self.path.strip("/").split("/")
@@ -387,7 +400,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             )
         return name, verb
 
-    def _serve_post(self, name: str, verb: str) -> int:
+    def _serve_post(self, name: str, verb: str) -> "_Reply":
         fault_plan = self.gateway.fault_plan
         if fault_plan is not None:
             fault_plan.on("gateway.request", endpoint=verb, graph=name)
@@ -416,7 +429,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 500, "internal", f"response is not wire-encodable: {exc}"
             )
 
-    def _serve_search(self, name: str, payload: Dict[str, object]) -> int:
+    def _serve_search(self, name: str, payload: Dict[str, object]) -> "_Reply":
         query = decode_query(payload.get("query"))
         config = decode_config(payload.get("config"))
         use_cache = bool(payload.get("use_cache", True))
@@ -450,7 +463,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             gateway.count("degraded")
             replay = dict(stale)
             replay["degraded"] = True
-            return self._send_json(
+            return self._json_reply(
                 http_status_for_response(
                     str(replay.get("status", "ok")), replay.get("reason")
                 ),
@@ -461,12 +474,12 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             # Only genuinely served answers become degraded-mode material;
             # caching error rows would replay failures.
             gateway.degraded_cache_put(degraded_key, encoded)
-        return self._send_json(
+        return self._json_reply(
             http_status_for_response(response.status, response.reason),
             encoded,
         )
 
-    def _serve_search_many(self, name: str, payload: Dict[str, object]) -> int:
+    def _serve_search_many(self, name: str, payload: Dict[str, object]) -> "_Reply":
         batch = decode_batch(payload)
         # The call-level override rides separately from the batch's shared
         # config ("config" inside the batch payload): in-process precedence
@@ -500,7 +513,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 "query-error",
                 str(exc),
             )
-        return self._send_json(
+        return self._json_reply(
             200,
             {
                 "count": len(responses),
@@ -508,7 +521,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _serve_explain(self, name: str, payload: Dict[str, object]) -> int:
+    def _serve_explain(self, name: str, payload: Dict[str, object]) -> "_Reply":
         query = decode_query(payload.get("query"))
         config = decode_config(payload.get("config"))
         engine = self.gateway.directory.get(name)
@@ -520,7 +533,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 "query-error",
                 str(exc),
             )
-        return self._send_json(200, {"explain": jsonable(report)})
+        return self._json_reply(200, {"explain": jsonable(report)})
 
 
 class Gateway:
