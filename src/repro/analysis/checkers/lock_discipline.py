@@ -52,6 +52,11 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
             "_result_cache": "_cache_lock",
         },
     },
+    "bc_index.py": {
+        "BCIndex": {
+            "_id_arrays": "_lock",
+        },
+    },
     "g0_view.py": {
         "G0ViewTable": {
             "_views": "_lock",

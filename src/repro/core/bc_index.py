@@ -13,23 +13,50 @@ The BCindex stores, for every vertex:
   has quadratically many pairs of which a query touches only one.
 
 Both quantities are accessible in O(1) after construction, as the paper
-requires for the weighted shortest-path computation.
+requires for the weighted shortest-path computation.  The L2P-BCC kernels
+run on ids of a frozen CSR, so :meth:`BCIndex.id_arrays` also serves both
+as plain lists aligned to a :class:`~repro.graph.csr.CSRGraph`'s ids, one
+pair of lists per queried label pair.
+
+**Locking.**  ``_id_arrays`` is guarded by ``_lock`` (BCC001's
+``GUARDED_FIELDS``); a fill is checked and stored under it, so concurrent
+queries never see a half-built entry.  The per-pair butterfly degrees are
+fetched before the lock is taken.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+import threading
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.butterfly import butterfly_degrees
 from repro.core.kcore import core_decomposition
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.bipartite import extract_label_bipartite
+from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import (
     LabeledGraph,
     Label,
     Vertex,
     resolve_group_provider,
 )
+
+
+@dataclass(frozen=True)
+class IdArrays:
+    """δ and χ of one label pair as lists aligned to the ids of ``csr``.
+
+    ``delta[i]`` is :meth:`BCIndex.coreness` and ``chi[i]``
+    :meth:`BCIndex.butterfly_degree` of ``csr.vertex_of(i)``;
+    ``delta_max``/``chi_max`` are the index's maxima (Def. 6).
+    """
+
+    csr: CSRGraph
+    delta: List[int]
+    chi: List[int]
+    delta_max: int
+    chi_max: int
 
 
 class BCIndex:
@@ -70,6 +97,8 @@ class BCIndex:
         self._max_coreness: int = 0
         self._butterfly_cache: Dict[Tuple[str, str], Dict[Vertex, int]] = {}
         self._max_butterfly_cache: Dict[Tuple[str, str], int] = {}
+        self._lock = threading.Lock()
+        self._id_arrays: Dict[Tuple[str, str], IdArrays] = {}
         if build:
             self.build()
 
@@ -145,6 +174,34 @@ class BCIndex:
         """Return χ_max over the bipartite graph of the given label pair."""
         self.butterfly_degrees_for(left_label, right_label)
         return self._max_butterfly_cache[self._pair_key(left_label, right_label)]
+
+    def id_arrays(
+        self, left_label: Label, right_label: Label, csr: CSRGraph
+    ) -> IdArrays:
+        """Return δ and χ of the label pair aligned to the ids of ``csr``.
+
+        Filled lazily per label pair and kept while ``csr`` stays the one
+        passed (a graph's frozen snapshot changes only when it is mutated).
+        Vertices the index does not know read 0, as in :meth:`coreness`.
+        """
+        self._require_built()
+        chi_of = self.butterfly_degrees_for(left_label, right_label)
+        chi_max = self.max_butterfly_degree(left_label, right_label)
+        key = self._pair_key(left_label, right_label)
+        with self._lock:
+            arrays = self._id_arrays.get(key)
+            if arrays is None or arrays.csr is not csr:
+                vertices = csr.interner.vertices()
+                coreness = self._coreness
+                arrays = IdArrays(
+                    csr=csr,
+                    delta=[coreness.get(v, 0) for v in vertices],  # type: ignore[union-attr]
+                    chi=[chi_of.get(v, 0) for v in vertices],
+                    delta_max=self._max_coreness,
+                    chi_max=chi_max,
+                )
+                self._id_arrays[key] = arrays
+            return arrays
 
     # ------------------------------------------------------------------
     # introspection

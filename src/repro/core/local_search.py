@@ -23,12 +23,17 @@ groups.  L2P-BCC avoids this by working locally around the query vertices:
 L2P-BCC does not carry the 2-approximation guarantee (the candidate graph is
 local), but it is the fastest method in the paper's evaluation and attains
 the best F1 on most networks.
+
+Steps 1-3 run on the ids of the graph's frozen CSR, with δ and χ from
+:meth:`BCIndex.id_arrays`.  On a prepared engine a candidate whose
+expansion closed reads its ``G0`` from the engine's view table instead of
+recomputing it (see :func:`_refine_on_views` for why that is exact).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Set
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
@@ -38,9 +43,8 @@ from repro.core.lp_bcc import DEFAULT_RHO, lp_peel, run_lp_bcc
 from repro.core.path_weight import PathWeightConfig, butterfly_core_shortest_path
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import REASON_QUERY_DISCONNECTED, EmptyCommunityError
-from repro.graph.csr import masked_coreness
+from repro.graph.csr import CSRGraph, masked_coreness
 from repro.graph.labeled_graph import LabeledGraph, Vertex, ordered_induced_subgraph
-from repro.graph.traversal import shortest_path
 
 
 DEFAULT_CANDIDATE_SIZE = 400
@@ -81,35 +85,70 @@ def expand_candidate_vertices(
 ) -> Set[Vertex]:
     """The vertex set of the candidate graph ``G_t`` (Algorithm 8, line 3).
 
-    Vertices are added in BFS order starting from the path; a vertex is
-    admitted when it carries one of the two query labels and its indexed
-    label-group coreness is at least the threshold of its side.  Expansion
-    stops when the candidate exceeds ``eta`` vertices (the current BFS layer
-    is completed so the cut is deterministic).
+    :func:`expand_candidate_ids` over ``graph``'s frozen CSR, with the
+    admitted ids translated back to vertices.
     """
-    admitted: Set[Vertex] = set()
+    csr = graph.freeze()
+    arrays = index.id_arrays(left_label, right_label, csr)
+    # A label absent from the graph has no id and admits nobody.
+    admitted, _ = expand_candidate_ids(
+        csr,
+        arrays.delta,
+        [csr.id_of(v) for v in seed_path if v in graph],
+        csr.interner.try_label_id(left_label),
+        csr.interner.try_label_id(right_label),
+        k_left,
+        k_right,
+        eta,
+    )
+    return {csr.vertex_of(v) for v in admitted}
+
+
+def expand_candidate_ids(
+    csr: CSRGraph,
+    delta: Sequence[int],
+    seed_ids: Sequence[int],
+    left_lid: Optional[int],
+    right_lid: Optional[int],
+    k_left: int,
+    k_right: int,
+    eta: int,
+) -> Tuple[Set[int], bool]:
+    """The ids of ``G_t`` and whether its expansion closed.
+
+    Ids are added in BFS order starting from the seed path; an id is
+    admitted when it carries one of the two query label ids and its indexed
+    label-group coreness ``delta`` is at least the threshold of its side.
+    Expansion stops once the candidate exceeds ``eta`` vertices (checked
+    before each dequeue, so the cut follows the neighbour order of
+    ``csr``).  The flag is ``True`` when the BFS queue emptied instead:
+    then every admissible neighbour of the candidate is in it.
+    """
+    slices = csr.adjacency_slices()
+    labels = csr.labels
+    admitted: Set[int] = set()
     queue = deque()
-    for vertex in seed_path:
-        if vertex in graph and vertex not in admitted:
+    for vertex in seed_ids:
+        if vertex not in admitted:
             admitted.add(vertex)
             queue.append(vertex)
     while queue and len(admitted) <= eta:
         vertex = queue.popleft()
-        for neighbor in graph.neighbors(vertex):
+        for neighbor in slices[vertex]:
             if neighbor in admitted:
                 continue
-            label = graph.label(neighbor)
-            if label == left_label:
-                if index.coreness(neighbor) < k_left:
+            label = labels[neighbor]
+            if label == left_lid:
+                if delta[neighbor] < k_left:
                     continue
-            elif label == right_label:
-                if index.coreness(neighbor) < k_right:
+            elif label == right_lid:
+                if delta[neighbor] < k_right:
                     continue
             else:
                 continue
             admitted.add(neighbor)
             queue.append(neighbor)
-    return admitted
+    return admitted, not queue
 
 
 def _auto_core_parameter(
@@ -205,11 +244,13 @@ def run_l2p_bcc(
     by the global LP-BCC fallback.  Raises :class:`EmptyCommunityError`
     instead of returning ``None``.
 
-    With ``views`` (a prepared engine's :class:`~repro.core.g0_view.
-    G0ViewTable`) the candidate stays an id set: its cores come from a
-    masked peel of the engine's frozen CSR, the refinement is
-    :func:`repro.core.lp_bcc.lp_peel` on that uncached view, and the
-    global fallback is LP-BCC on the cached views.
+    The seed path and the expansion run on the ids of ``graph``'s frozen
+    CSR.  With ``views`` (a prepared engine's :class:`~repro.core.g0_view.
+    G0ViewTable`) the candidate stays an id set: a closed candidate takes
+    its ``G0`` from the table, any other gets its cores from a masked peel
+    (see :func:`_refine_on_views`); the refinement is
+    :func:`repro.core.lp_bcc.lp_peel` and the global fallback is LP-BCC on
+    the cached views.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
@@ -218,12 +259,11 @@ def run_l2p_bcc(
     elif not index.is_built():
         index.build()
 
-    # Line 1: butterfly-core weighted shortest path connecting the query pair.
+    # Line 1: butterfly-core weighted shortest path connecting the query
+    # pair (the hop-count shortest path when the search's caps trip).
     seed_path = butterfly_core_shortest_path(
         graph, q_left, q_right, index, left_label, right_label, config=path_config
     )
-    if seed_path is None:
-        seed_path = shortest_path(graph, q_left, q_right)
     if seed_path is None:
         raise EmptyCommunityError(
             f"query vertices {q_left!r} and {q_right!r} are not connected",
@@ -231,25 +271,44 @@ def run_l2p_bcc(
         )
 
     # Line 2: per-side expansion thresholds from the path's minimum coreness.
-    left_on_path = [v for v in seed_path if graph.label(v) == left_label]
-    right_on_path = [v for v in seed_path if graph.label(v) == right_label]
-    k_left_threshold = min((index.coreness(v) for v in left_on_path), default=0)
-    k_right_threshold = min((index.coreness(v) for v in right_on_path), default=0)
+    csr = graph.freeze()
+    delta = index.id_arrays(left_label, right_label, csr).delta
+    seed_ids = [csr.id_of(v) for v in seed_path]
+    seed_labels = [csr.labels[v] for v in seed_ids]
+    left_lid, right_lid = seed_labels[0], seed_labels[-1]
+    k_left_threshold = min(
+        delta[v] for v, lid in zip(seed_ids, seed_labels) if lid == left_lid
+    )
+    k_right_threshold = min(
+        delta[v] for v, lid in zip(seed_ids, seed_labels) if lid == right_lid
+    )
+
+    # Line 3: local expansion into the candidate graph G_t.
+    admitted, closed = expand_candidate_ids(
+        csr,
+        delta,
+        seed_ids,
+        left_lid,
+        right_lid,
+        k_left_threshold,
+        k_right_threshold,
+        eta,
+    )
+    inst.add("candidate_vertices", float(len(admitted)))
 
     if views is not None:
+        # G_t's label groups are whole k-core components of the global
+        # groups when the expansion closed and the seed path stayed on the
+        # two query labels (see _refine_on_views).
+        exact_groups = closed and all(
+            lid == left_lid or lid == right_lid for lid in seed_labels
+        )
         return _refine_on_views(
             graph,
             views,
-            expand_candidate_vertices(
-                graph,
-                seed_path,
-                index,
-                left_label,
-                right_label,
-                k_left_threshold,
-                k_right_threshold,
-                eta,
-            ),
+            admitted,
+            (k_left_threshold, k_right_threshold) if exact_groups else None,
+            delta,
             q_left,
             q_right,
             k1,
@@ -260,18 +319,7 @@ def run_l2p_bcc(
             inst,
         )
 
-    # Line 3: local expansion into the candidate graph G_t.
-    candidate = expand_candidate_graph(
-        graph,
-        seed_path,
-        index,
-        left_label,
-        right_label,
-        k_left_threshold,
-        k_right_threshold,
-        eta,
-    )
-    inst.add("candidate_vertices", float(candidate.num_vertices()))
+    candidate = ordered_induced_subgraph(graph, map(csr.vertex_of, admitted))
 
     # Line 4: core parameters default to the largest coreness on each side of
     # the candidate graph.
@@ -324,7 +372,9 @@ def run_l2p_bcc(
 def _refine_on_views(
     graph: LabeledGraph,
     views: G0ViewTable,
-    admitted: Set[Vertex],
+    admitted: Set[int],
+    thresholds: Optional[Tuple[int, int]],
+    delta: Sequence[int],
     q_left: Vertex,
     q_right: Vertex,
     k1: Optional[int],
@@ -340,31 +390,56 @@ def _refine_on_views(
     parameters from the candidate's label groups, Algorithm 2 inside the
     candidate, the LP-BCC refinement, the global fallback — without
     building ``G_t``.
+
+    ``thresholds`` are the expansion thresholds ``(k_l, k_r)`` when the
+    expansion closed and every seed-path vertex carries a query label, else
+    ``None``.  A closed expansion admitted every query-label neighbour
+    reaching its side's threshold, so each label group of ``G_t`` is a
+    union of whole connected components of the global group's k_l-core
+    (resp. k_r-core).  Coreness inside it is then the indexed coreness
+    ``delta``, and for ``k1 >= k_l`` and ``k2 >= k_r`` the connected cores
+    around the query lie inside ``G_t``: the candidate's ``G0`` is the
+    view the table already serves for ``(q_l, q_r, k1, k2)``.  The default
+    ``k = coreness(q)`` always qualifies.  Otherwise the candidate's cores
+    come from a masked peel and its view is built for this query.
     """
-    inst.add("candidate_vertices", float(len(admitted)))
     csr = views.csr()
-    slices = csr.adjacency_slices()
-    left_label, right_label = graph.label(q_left), graph.label(q_right)
-    # The candidate's two label groups; seed-path vertices of other labels
-    # belong to neither, exactly as in G_t.label_induced_subgraph.
-    left_members = {csr.id_of(v) for v in admitted if graph.label(v) == left_label}
-    right_members = {csr.id_of(v) for v in admitted if graph.label(v) == right_label}
     query_ids = (csr.id_of(q_left), csr.id_of(q_right))
-    left_coreness = masked_coreness(slices, left_members)
-    right_coreness = masked_coreness(slices, right_members)
-    # Line 4: core parameters default to the query vertices' coreness in
-    # the candidate's label groups.
-    if k1 is None:
-        k1 = left_coreness.get(query_ids[0], 0)
-    if k2 is None:
-        k2 = right_coreness.get(query_ids[1], 0)
-    parameters = BCCParameters(k1=k1, k2=k2, b=b)
-    left = connected_core(slices, left_members, left_coreness, k1, query_ids[0])
-    right = connected_core(slices, right_members, right_coreness, k2, query_ids[1])
-    view = None
-    if left is not None and right is not None:
-        view = build_g0_view(slices, left, right)
-        inst.record_butterfly_counting()
+    if (
+        thresholds is not None
+        and (k1 is None or k1 >= thresholds[0])
+        and (k2 is None or k2 >= thresholds[1])
+    ):
+        # Line 4: core parameters default to the query vertices' coreness,
+        # which is at least the threshold of their side.
+        if k1 is None:
+            k1 = delta[query_ids[0]]
+        if k2 is None:
+            k2 = delta[query_ids[1]]
+        parameters = BCCParameters(k1=k1, k2=k2, b=b)
+        view = views.view(q_left, q_right, k1, k2, inst)
+    else:
+        slices = csr.adjacency_slices()
+        left_lid, right_lid = csr.labels[query_ids[0]], csr.labels[query_ids[1]]
+        # The candidate's two label groups; seed-path vertices of other
+        # labels belong to neither, exactly as in G_t.label_induced_subgraph.
+        left_members = {v for v in admitted if csr.labels[v] == left_lid}
+        right_members = {v for v in admitted if csr.labels[v] == right_lid}
+        left_coreness = masked_coreness(slices, left_members)
+        right_coreness = masked_coreness(slices, right_members)
+        # Line 4: core parameters default to the query vertices' coreness in
+        # the candidate's label groups.
+        if k1 is None:
+            k1 = left_coreness.get(query_ids[0], 0)
+        if k2 is None:
+            k2 = right_coreness.get(query_ids[1], 0)
+        parameters = BCCParameters(k1=k1, k2=k2, b=b)
+        left = connected_core(slices, left_members, left_coreness, k1, query_ids[0])
+        right = connected_core(slices, right_members, right_coreness, k2, query_ids[1])
+        view = None
+        if left is not None and right is not None:
+            view = build_g0_view(slices, left, right)
+            inst.record_butterfly_counting()
     # Line 5: refine with the LP-BCC loop (bulk deletion of farthest vertices).
     try:
         result = lp_peel(

@@ -20,8 +20,23 @@ minimum over the whole path), so Dijkstra on edges does not apply directly.
 :func:`butterfly_core_shortest_path` runs an exact label-correcting search
 over states ``(vertex, min_coreness_so_far, min_butterfly_so_far)`` with
 dominance pruning; the number of distinct (coreness, butterfly) minima per
-vertex is small in practice, and a configurable cap bounds the worst case
-(when the cap trips, the result degrades gracefully to the best path found).
+vertex is small in practice.  Two caps bound the worst case: a per-vertex
+cap on kept states (past it a state is dropped, so the search may miss the
+optimum) and a cap on heap pops (past it the search stops and returns the
+plain hop-count shortest path instead).
+
+**Adjacent endpoints.**  Every path contains both endpoints, so its
+minimum coreness and minimum χ are never above the endpoints' own, and
+every path has at least one hop.  When ``t`` is a neighbour of ``s`` the
+edge ``[s, t]`` therefore attains the least possible value of all three
+terms, and any other path has two or more hops: ``[s, t]`` is the unique
+minimum-weight path.  The search returns it without exploring.
+
+**Ids.**  The search runs on the ids of the graph's frozen CSR with δ and
+χ from :meth:`~repro.core.bc_index.BCIndex.id_arrays`.  Its neighbour
+lists keep the :meth:`LabeledGraph.neighbors` order of the graph it was
+frozen from, so states are pushed, and equal weights broken, exactly as a
+search over that object graph would.
 """
 
 from __future__ import annotations
@@ -31,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.bc_index import BCIndex
+from repro.core.bc_index import BCIndex, IdArrays
 from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
 
 
@@ -91,7 +106,8 @@ def butterfly_core_shortest_path(
     graph:
         The graph to search (typically the full input graph).
     source, target:
-        Endpoints; ``None`` is returned when they are disconnected.
+        Endpoints; ``None`` is returned when they are disconnected or
+        either is not in ``graph``.
     index:
         A built :class:`BCIndex` providing δ(v) and χ(v) lookups.
     left_label, right_label:
@@ -99,25 +115,57 @@ def butterfly_core_shortest_path(
     config:
         Penalty weights γ1 and γ2.
     max_labels_per_vertex:
-        Dominance-pruning cap: at most this many non-dominated states are kept
-        per vertex.  With the cap exceeded the search stays correct as a
-        heuristic (it returns the best completed path) but may no longer be
-        exact; the default is ample for the candidate sizes used in the
+        Dominance-pruning cap: at most this many non-dominated states are
+        expanded per vertex; further states reaching the vertex are
+        dropped, so past the cap the returned path may not be of minimum
+        weight.  The default is ample for the candidate sizes used in the
         evaluation.
     max_expansions:
-        Hard cap on the number of heap pops; when reached the search falls
-        back to the plain hop-count shortest path so that the caller always
-        gets *some* connecting path when one exists.
+        Hard cap on the number of heap pops; when reached the search stops
+        and returns the plain hop-count shortest path, so the caller always
+        gets *some* connecting path when one exists.  The same fallback
+        applies if the caps leave no state reaching ``target``.
     """
     from repro.graph.traversal import shortest_path as plain_shortest_path
 
     if source not in graph or target not in graph:
         return None
-    delta_max = index.max_coreness()
-    chi_max = index.max_butterfly_degree(left_label, right_label)
+    csr = graph.freeze()
+    arrays = index.id_arrays(left_label, right_label, csr)
+    if target in graph.neighbors(source):
+        # The adjacency lemma (module docstring): the edge is the optimum.
+        return [source, target]
+    ids = _search_ids(
+        csr.adjacency_slices(),
+        arrays,
+        config,
+        csr.id_of(source),
+        csr.id_of(target),
+        max_labels_per_vertex,
+        max_expansions,
+    )
+    if ids is None:
+        return plain_shortest_path(graph, source, target)
+    return [csr.vertex_of(v) for v in ids]
 
-    def chi(v: Vertex) -> int:
-        return index.butterfly_degree(v, left_label, right_label)
+
+def _search_ids(
+    slices,
+    arrays: IdArrays,
+    config: PathWeightConfig,
+    source: int,
+    target: int,
+    max_labels_per_vertex: int,
+    max_expansions: int,
+) -> Optional[Tuple[int, ...]]:
+    """The label-correcting search on ids; ``None`` when a cap ends it.
+
+    Pops states in ``(weight, push order)`` order; the first state popped
+    at ``target`` is a minimum-weight path, because weights never decrease
+    along a path.
+    """
+    delta, chi = arrays.delta, arrays.chi
+    delta_max, chi_max = arrays.delta_max, arrays.chi_max
 
     def weight(hops: int, min_core: int, min_chi: int) -> float:
         return (
@@ -127,25 +175,21 @@ def butterfly_core_shortest_path(
         )
 
     counter = itertools.count()
-    initial_core = index.coreness(source)
-    initial_chi = chi(source)
-    heap: List[Tuple[float, int, Vertex, int, int, Tuple[Vertex, ...]]] = [
+    heap: List[Tuple[float, int, int, int, int, Tuple[int, ...]]] = [
         (
-            weight(0, initial_core, initial_chi),
+            weight(0, delta[source], chi[source]),
             next(counter),
             source,
-            initial_core,
-            initial_chi,
+            delta[source],
+            chi[source],
             (source,),
         )
     ]
-    # Non-dominated (hops, min_core, min_chi) label sets per vertex.
-    labels: Dict[Vertex, List[Tuple[int, int, int]]] = {}
-    best_path: Optional[List[Vertex]] = None
-    best_weight = float("inf")
+    # Non-dominated (hops, min_core, min_chi) states per vertex.
+    labels: Dict[int, List[Tuple[int, int, int]]] = {}
 
-    def dominated(vertex: Vertex, hops: int, min_core: int, min_chi: int) -> bool:
-        for other_hops, other_core, other_chi in labels.get(vertex, []):
+    def dominated(vertex: int, hops: int, min_core: int, min_chi: int) -> bool:
+        for other_hops, other_core, other_chi in labels.get(vertex, ()):
             if (
                 other_hops <= hops
                 and other_core >= min_core
@@ -158,18 +202,10 @@ def butterfly_core_shortest_path(
     while heap:
         expansions += 1
         if expansions > max_expansions:
-            # Give up on exactness: return what we have, or the hop-shortest path.
-            return best_path if best_path is not None else plain_shortest_path(
-                graph, source, target
-            )
-        current_weight, _, vertex, min_core, min_chi, path = heapq.heappop(heap)
-        if current_weight >= best_weight:
-            # Weights are monotone along a path, so nothing better remains.
-            break
+            return None
+        _, _, vertex, min_core, min_chi, path = heapq.heappop(heap)
         if vertex == target:
-            best_weight = current_weight
-            best_path = list(path)
-            break
+            return path
         hops = len(path) - 1
         if dominated(vertex, hops, min_core, min_chi):
             continue
@@ -177,21 +213,18 @@ def butterfly_core_shortest_path(
         if len(entry) >= max_labels_per_vertex:
             continue
         entry.append((hops, min_core, min_chi))
-        for neighbor in graph.neighbors(vertex):
+        new_hops = hops + 1
+        for neighbor in slices[vertex]:
             if neighbor in path:
                 continue
-            new_core = min(min_core, index.coreness(neighbor))
-            new_chi = min(min_chi, chi(neighbor))
-            new_hops = hops + 1
+            new_core = min(min_core, delta[neighbor])
+            new_chi = min(min_chi, chi[neighbor])
             if dominated(neighbor, new_hops, new_core, new_chi):
-                continue
-            new_weight = weight(new_hops, new_core, new_chi)
-            if new_weight >= best_weight:
                 continue
             heapq.heappush(
                 heap,
                 (
-                    new_weight,
+                    weight(new_hops, new_core, new_chi),
                     next(counter),
                     neighbor,
                     new_core,
@@ -199,9 +232,4 @@ def butterfly_core_shortest_path(
                     path + (neighbor,),
                 ),
             )
-    if best_path is not None:
-        return best_path
-    # The state space was exhausted (or capped) without completing a path;
-    # fall back to the plain hop-count shortest path, which is ``None`` only
-    # when the endpoints are genuinely disconnected.
-    return plain_shortest_path(graph, source, target)
+    return None

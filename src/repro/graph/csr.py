@@ -170,6 +170,10 @@ class VertexInterner:
         """Return the label object behind ``lid``."""
         return self._label_of[lid]
 
+    def try_label_id(self, label: Label) -> Optional[int]:
+        """Return the label id of ``label`` or ``None`` when never interned."""
+        return self._label_id_of.get(label)
+
     def num_labels(self) -> int:
         """Return how many distinct labels have been interned."""
         return len(self._label_of)
@@ -292,8 +296,11 @@ class _FlatAdjacency:
 
         Kernels that revisit neighbourhoods many times (BFS sweeps, wedge
         enumeration) iterate these shared slices instead of re-slicing the
-        flat array on every visit.  Neighbour *order* within a slice is not
-        part of the contract (the butterfly kernel rank-sorts in place).
+        flat array on every visit.  A :class:`CSRGraph` keeps each vertex's
+        :meth:`~LabeledGraph.neighbors` order of the graph it was frozen
+        from (also through a persisted or shared-memory snapshot), which
+        L2P-BCC's path search and expansion rely on for their tie breaks;
+        a :class:`CSRBipartiteView` rank-sorts its own slices in place.
         """
         if self._slices is None:
             offs, nbrs = self.adjacency_lists()
