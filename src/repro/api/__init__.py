@@ -12,7 +12,7 @@ BCindex) and serves many queries; the legacy free functions
 (``online_bcc_search`` & co.) remain as thin one-shot wrappers over it.
 """
 
-from repro.api.config import BACKENDS, SearchConfig
+from repro.api.config import SearchConfig
 from repro.api.engine import ON_ERROR_POLICIES, BCCEngine
 from repro.api.oneshot import one_shot_search
 from repro.api.query import (
@@ -37,7 +37,6 @@ from repro.api.registry import (
 from repro.api import methods as _builtin_methods  # noqa: F401
 
 __all__ = [
-    "BACKENDS",
     "BCCEngine",
     "BatchQuery",
     "MethodSpec",

@@ -1,7 +1,7 @@
 """Typed, frozen search configuration shared by every registered method.
 
 :class:`SearchConfig` replaces the per-function keyword sprawl of the legacy
-entry points (``use_fast_path=...`` here, ``rho=...`` there) with one
+entry points (``bulk_deletion=...`` here, ``rho=...`` there) with one
 validated, immutable object.  An engine holds a base config; callers derive
 variants with :meth:`SearchConfig.replace` (e.g. a parameter sweep changing
 only ``k``), and per-query overrides ride on :class:`repro.api.query.Query`.
@@ -10,6 +10,10 @@ Not every field applies to every method — each registered runner reads the
 fields its algorithm defines (the butterfly parameter ``b`` means nothing to
 the label-agnostic CTC baseline, ``size_budget`` only to PSA) and ignores the
 rest, so one config can drive a whole workload.
+
+A config says what to compute, never on which substrate: each kernel picks
+its object or CSR implementation from the input's size (both return the
+same values), and the batch transport is an argument of ``search_many``.
 """
 
 from __future__ import annotations
@@ -23,14 +27,6 @@ from repro.core.local_search import DEFAULT_CANDIDATE_SIZE
 from repro.core.lp_bcc import DEFAULT_RHO
 from repro.core.path_weight import PathWeightConfig
 from repro.exceptions import QueryError
-
-#: Kernel substrates accepted by :attr:`SearchConfig.backend`.
-#: ``"process"`` selects the CSR kernels plus the multi-process batch
-#: transport (:mod:`repro.parallel`): a single ``search`` runs the CSR
-#: fast path in-process, while ``search_many`` scatter-gathers the batch
-#: across shared-memory worker processes.
-BACKENDS = ("auto", "object", "csr", "process")
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -56,17 +52,8 @@ class SearchConfig:
         experimental setting) instead of a single one.
     rho:
         Leader search radius of Algorithm 6 (LP-BCC / L2P-BCC).
-    backend:
-        Kernel substrate: ``"auto"`` (default), ``"object"``, ``"csr"`` or
-        ``"process"``.  ``"process"`` behaves like ``"csr"`` inside one
-        process and additionally opts ``search_many`` batches into the
-        shared-memory worker pool of :mod:`repro.parallel`.
     max_iterations:
         Optional safety cap on peeling iterations.
-    fast_path:
-        Serve Online-BCC's ``G0`` from the engine's view table and peel an
-        id mask over the frozen CSR (identical results, faster substrate);
-        False runs the loop on an object-graph copy of ``G0``.
     eta:
         Candidate-graph size threshold of L2P-BCC (Algorithm 8).
     path_config:
@@ -92,9 +79,7 @@ class SearchConfig:
     b: int = 1
     bulk_deletion: bool = True
     rho: int = DEFAULT_RHO
-    backend: str = "auto"
     max_iterations: Optional[int] = None
-    fast_path: bool = True
     eta: int = DEFAULT_CANDIDATE_SIZE
     path_config: PathWeightConfig = PathWeightConfig()
     core_parameters: Optional[Tuple[int, ...]] = None
@@ -111,8 +96,6 @@ class SearchConfig:
             raise QueryError("butterfly parameter b must be non-negative")
         if self.rho < 0:
             raise QueryError("leader search radius rho must be non-negative")
-        if self.backend not in BACKENDS:
-            raise QueryError(f"unknown backend {self.backend!r}; known: {BACKENDS}")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise QueryError("max_iterations must be non-negative or None")
         # Zero budgets are legal degenerate settings the algorithms define

@@ -118,11 +118,14 @@ ENGINE_COUNTER_NAMES = (
     "g0_view_hits",
 )
 
-#: Edge count below which ``backend="auto"`` keeps batches on the threaded
-#: path: under it the per-task wire marshalling and worker startup dominate
-#: any kernel parallelism, and the small-graph test workloads stay exactly
-#: on the code path they always exercised.
+#: Edge count below which ``search_many(backend="auto")`` keeps batches on
+#: the threaded path: under it the per-task wire marshalling and worker
+#: startup dominate any kernel parallelism, and the small-graph test
+#: workloads stay exactly on the code path they always exercised.
 PROCESS_AUTO_MIN_EDGES = 2048
+
+#: Batch transports accepted by ``search_many(backend=...)``.
+_TRANSPORTS = ("auto", "thread", "process")
 
 # One warning per process when the process backend falls back to threads
 # (satellite: unavailable shared memory must degrade loudly-once, not
@@ -140,6 +143,33 @@ def _warn_process_fallback_once(reason: str) -> None:
         "threaded path instead",
         RuntimeWarning,
         stacklevel=4,
+    )
+
+
+def use_process_transport(
+    backend: str,
+    graph: LabeledGraph,
+    rows: int,
+    max_workers: int,
+    instrumentation: Optional[SearchInstrumentation],
+) -> bool:
+    """Whether a ``search_many`` batch goes to the worker-process pool.
+
+    ``"process"`` always asks for the pool and ``"thread"`` never does;
+    ``"auto"`` asks only for compute-bound shapes: more than one row,
+    ``max_workers > 1``, no shared instrumentation and at least
+    :data:`PROCESS_AUTO_MIN_EDGES` edges.  Any other value raises
+    :class:`QueryError`, like an unknown ``on_error`` policy.
+    """
+    if backend not in _TRANSPORTS:
+        raise QueryError(f"unknown batch backend {backend!r}; known: {_TRANSPORTS}")
+    if backend != "auto":
+        return backend == "process"
+    return (
+        max_workers > 1
+        and rows > 1
+        and instrumentation is None
+        and graph.num_edges() >= PROCESS_AUTO_MIN_EDGES
     )
 
 
@@ -469,9 +499,9 @@ class BCCEngine:
         self._version_lock = threading.Lock()
         self._cache_lock = threading.Lock()
         self._counters_lock = threading.Lock()
-        # Lazy multi-process batch transport (backend="process").  The pool
-        # lock only guards the slot; pool shutdown always happens outside
-        # every engine lock because close() joins worker processes.
+        # Lazy multi-process batch transport of search_many.  The pool lock
+        # only guards the slot; pool shutdown always happens outside every
+        # engine lock because close() joins worker processes.
         self._pool_lock = threading.Lock()
         self._process_pool: Optional[object] = None
         self._counters: Dict[str, int] = {
@@ -618,12 +648,7 @@ class BCCEngine:
         self._check_version()
         with self._index_lock:
             if self._index is None:
-                self._index = BCIndex(
-                    self.graph,
-                    build=False,
-                    backend=self.config.backend,
-                    groups=self.group,
-                )
+                self._index = BCIndex(self.graph, build=False, groups=self.group)
             if not self._index.is_built():
                 start = time.perf_counter()
                 with obs_span("engine.index_build"):
@@ -915,7 +940,7 @@ class BCCEngine:
         on_error: str = "raise",
         max_workers: int = 1,
         use_cache: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "auto",
     ) -> List[SearchResponse]:
         """Serve a batch of queries over one warm snapshot.
 
@@ -953,17 +978,18 @@ class BCCEngine:
         ``max_workers=1`` with it — the counters are not merged atomically);
         leave it ``None`` to give each response its own per-search counters.
 
-        ``backend`` selects the batch *transport*.  ``"process"`` scatters
+        ``backend`` selects the batch *transport*: ``"auto"`` (the
+        default), ``"thread"`` or ``"process"``; any other value raises
+        :class:`repro.exceptions.QueryError`.  ``"process"`` scatters
         the rows over a pool of ``max_workers`` worker processes serving
         the same frozen CSR arrays from shared memory (zero-copy), gathers
         position-aligned responses through the wire codec, and applies the
         same ``on_error`` / deadline semantics — including a crashed
         worker, which becomes a ``reason="worker-crashed"`` error row under
-        ``"return"``, never a hang.  ``None`` (the default) defers to the
-        effective config's ``backend``; ``"auto"`` picks the process
-        transport only for compute-bound shapes (``max_workers > 1``, more
-        than one row, at least :data:`PROCESS_AUTO_MIN_EDGES` edges, no
-        shared instrumentation).  When shared memory is unavailable (or an
+        ``"return"``, never a hang.  ``"thread"`` serves in this process.
+        ``"auto"`` picks the process transport only for compute-bound
+        shapes (see :func:`use_process_transport`).  The transport never
+        changes an answer.  When shared memory is unavailable (or an
         instrumented run was requested explicitly), the batch falls back to
         the threaded path with a one-time :class:`RuntimeWarning` and a
         ``"process_fallbacks"`` counter tick — never an error.  The pool is
@@ -984,18 +1010,9 @@ class BCCEngine:
             # consuming a caller's iterator.
             batch = BatchQuery(queries=tuple(queries))
 
-        resolved_backend = backend
-        if resolved_backend is None:
-            base = config if config is not None else self.config
-            resolved_backend = base.backend
-        use_process = resolved_backend == "process" or (
-            resolved_backend == "auto"
-            and max_workers > 1
-            and len(batch.queries) > 1
-            and instrumentation is None
-            and self.graph.num_edges() >= PROCESS_AUTO_MIN_EDGES
-        )
-        if use_process:
+        if use_process_transport(
+            backend, self.graph, len(batch.queries), max_workers, instrumentation
+        ):
             responses = self._try_serve_process(
                 batch,
                 config=config,

@@ -21,15 +21,6 @@ from repro.core.multilabel import run_mbcc
 from repro.core.online_bcc import run_online_bcc
 
 
-def _views(engine, config):
-    """The engine's G0 view table, or ``None`` for the object-graph kernels.
-
-    ``backend="object"`` keeps Online-/LP-/L2P-BCC on object-graph copies
-    of ``G0`` — the parity oracle of the view path.
-    """
-    return None if config.backend == "object" else engine.g0_views
-
-
 @register_method(
     "psa",
     display="PSA",
@@ -90,10 +81,8 @@ def _run_online_bcc(engine, query, config, instrumentation):
         bulk_deletion=config.bulk_deletion,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-        use_fast_path=config.fast_path,
-        backend=config.backend,
         groups=engine.group,
-        views=_views(engine, config),
+        views=engine.g0_views,
     )
 
 
@@ -119,9 +108,8 @@ def _run_lp_bcc(engine, query, config, instrumentation):
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-        backend=config.backend,
         groups=engine.group,
-        views=_views(engine, config),
+        views=engine.g0_views,
     )
 
 
@@ -150,9 +138,8 @@ def _run_l2p_bcc(engine, query, config, instrumentation):
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-        backend=config.backend,
         groups=engine.group,
-        views=_views(engine, config),
+        views=engine.g0_views,
     )
 
 
@@ -175,6 +162,5 @@ def _run_mbcc(engine, query, config, instrumentation):
         bulk_deletion=config.bulk_deletion,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-        backend=config.backend,
         groups=engine.group,
     )

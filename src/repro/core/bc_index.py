@@ -72,10 +72,6 @@ class BCIndex:
     build:
         When True (default) the coreness component is built immediately;
         otherwise call :meth:`build`.
-    backend:
-        Kernel substrate forwarded to the per-group core decompositions and
-        the per-pair butterfly counting (``"auto"`` routes large groups
-        through the CSR fast path of :mod:`repro.graph.csr`).
     groups:
         Optional callable mapping a label to its label-induced subgraph; a
         prepared :class:`repro.api.BCCEngine` passes its per-label cache so
@@ -87,11 +83,9 @@ class BCIndex:
         self,
         graph: LabeledGraph,
         build: bool = True,
-        backend: str = "auto",
         groups=None,
     ) -> None:
         self._graph = graph
-        self._backend = backend
         self._groups = groups
         self._coreness: Optional[Dict[Vertex, int]] = None
         self._max_coreness: int = 0
@@ -111,7 +105,7 @@ class BCIndex:
         coreness: Dict[Vertex, int] = {}
         for label in self._graph.labels():
             group = group_of(label)
-            coreness.update(core_decomposition(group, backend=self._backend))
+            coreness.update(core_decomposition(group))
         # Isolated vertices within their group never appear in the
         # decomposition output of an empty-edge subgraph; default to 0.
         for v in self._graph.vertices():
@@ -159,7 +153,7 @@ class BCIndex:
         key = self._pair_key(left_label, right_label)
         if key not in self._butterfly_cache:
             bipartite = extract_label_bipartite(self._graph, left_label, right_label)
-            degrees = butterfly_degrees(bipartite, backend=self._backend)
+            degrees = butterfly_degrees(bipartite)
             self._butterfly_cache[key] = degrees
             self._max_butterfly_cache[key] = max(degrees.values()) if degrees else 0
         return self._butterfly_cache[key]

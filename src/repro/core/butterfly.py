@@ -21,10 +21,9 @@ This module implements:
 * :func:`brute_force_butterfly_degrees` — an O(n⁴) reference used by tests.
 
 All functions accept a :class:`~repro.graph.bipartite.BipartiteView`.  The
-counting entry points additionally accept ``backend="auto" | "object" |
-"csr"``; the CSR fast path (:mod:`repro.graph.csr`) produces identical
-counts over interned integer ids and is chosen automatically for large
-views.
+counting entry points run the CSR kernel (:mod:`repro.graph.csr`) on views
+of at least :data:`CSR_BUTTERFLY_MIN_EDGES` cross edges; it produces
+identical counts over interned integer ids.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from repro.graph.bipartite import BipartiteView
 from repro.graph.csr import CSRBipartiteView, csr_butterfly_degrees
 from repro.graph.labeled_graph import Vertex
 
-#: Cross-edge count above which ``backend="auto"`` freezes the view and
-#: counts over flat arrays (below it the freeze overhead dominates).
+#: Cross-edge count from which counting freezes the view and runs over flat
+#: arrays (below it the freeze overhead dominates).
 CSR_BUTTERFLY_MIN_EDGES = 128
 
 
@@ -46,19 +45,9 @@ def _choose2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _resolve_backend(bipartite: BipartiteView, backend: str) -> str:
-    """Map ``auto`` to ``csr``/``object`` by bipartite size.
-
-    ``"process"`` is the batch-transport backend (:mod:`repro.parallel`);
-    inside one process its kernels are exactly the CSR kernels.
-    """
-    if backend != "auto":
-        if backend == "process":
-            return "csr"
-        if backend not in ("csr", "object"):
-            raise ValueError(f"unknown backend {backend!r}")
-        return backend
-    return "csr" if bipartite.num_edges() >= CSR_BUTTERFLY_MIN_EDGES else "object"
+def _use_csr(bipartite: BipartiteView) -> bool:
+    """Whether the view is large enough to pay for a CSR freeze."""
+    return bipartite.num_edges() >= CSR_BUTTERFLY_MIN_EDGES
 
 
 def _csr_butterfly_degrees(bipartite: BipartiteView) -> Dict[Vertex, int]:
@@ -86,16 +75,16 @@ def butterfly_degree_of(bipartite: BipartiteView, vertex: Vertex) -> int:
     return sum(_choose2(count) for count in paths.values())
 
 
-def butterfly_degrees(bipartite: BipartiteView, backend: str = "auto") -> Dict[Vertex, int]:
+def butterfly_degrees(bipartite: BipartiteView) -> Dict[Vertex, int]:
     """Return χ(v) for every vertex of the bipartite graph (Algorithm 3).
 
-    ``backend`` selects the counting substrate: ``"object"`` runs the plain
-    per-vertex wedge count over the adjacency sets, ``"csr"`` freezes the
-    view and runs the flat-array vertex-priority kernel
-    (:func:`repro.graph.csr.csr_butterfly_degrees`), and ``"auto"`` picks by
-    size.  Every backend returns exactly the same counts.
+    Small views run the plain per-vertex wedge count over the adjacency
+    sets; views of at least :data:`CSR_BUTTERFLY_MIN_EDGES` edges are frozen
+    and counted by the flat-array vertex-priority kernel
+    (:func:`repro.graph.csr.csr_butterfly_degrees`).  Both return exactly
+    the same counts.
     """
-    if _resolve_backend(bipartite, backend) == "csr":
+    if _use_csr(bipartite):
         return _csr_butterfly_degrees(bipartite)
     degrees: Dict[Vertex, int] = {}
     for vertex in bipartite.vertices():
@@ -103,9 +92,7 @@ def butterfly_degrees(bipartite: BipartiteView, backend: str = "auto") -> Dict[V
     return degrees
 
 
-def butterfly_degrees_priority(
-    bipartite: BipartiteView, backend: str = "auto"
-) -> Dict[Vertex, int]:
+def butterfly_degrees_priority(bipartite: BipartiteView) -> Dict[Vertex, int]:
     """Return χ(v) for every vertex using single-enumeration wedge processing.
 
     Inspired by the vertex-priority counting of Wang et al. [41]: instead of
@@ -115,11 +102,11 @@ def butterfly_degrees_priority(
     contribution is credited to all four member vertices in one pass.  The
     enumeration side is chosen as the side with the smaller total degree so
     that the wedge work is minimised.  The output matches
-    :func:`butterfly_degrees` exactly; only the work performed differs.  The
-    ``"csr"``/``"auto"`` backends route to the flat-array implementation of
-    the same strategy.
+    :func:`butterfly_degrees` exactly; only the work performed differs.
+    Views large enough for the CSR kernel run its flat-array implementation
+    of the same strategy.
     """
-    if _resolve_backend(bipartite, backend) == "csr":
+    if _use_csr(bipartite):
         return _csr_butterfly_degrees(bipartite)
     degrees: Dict[Vertex, int] = {v: 0 for v in bipartite.vertices()}
 

@@ -27,43 +27,31 @@ from repro.graph.csr import csr_k_core_alive
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import connected_component
 
-#: Edge count above which ``backend="auto"`` prefers the CSR fast path for a
-#: full core decomposition (below it the freeze overhead dominates).
+#: Edge count from which a full core decomposition runs on the CSR snapshot
+#: (below it the freeze overhead dominates).
 CSR_CORE_MIN_EDGES = 2048
 
-#: Edge count above which ``backend="auto"`` freezes for a single k-core
-#: peel even without a warm snapshot.
+#: Edge count from which a single k-core peel freezes even without a warm
+#: snapshot.
 CSR_PEEL_MIN_EDGES = 8192
 
 
-def _resolve_backend(graph: LabeledGraph, backend: str, min_edges: int) -> str:
-    """Map ``auto`` to ``csr``/``object`` by snapshot warmth and graph size.
-
-    ``"process"`` is the batch-transport backend (:mod:`repro.parallel`);
-    inside one process its kernels are exactly the CSR kernels.
-    """
-    if backend != "auto":
-        if backend == "process":
-            return "csr"
-        if backend not in ("csr", "object"):
-            raise ValueError(f"unknown backend {backend!r}")
-        return backend
-    if graph.has_frozen() or graph.num_edges() >= min_edges:
-        return "csr"
-    return "object"
+def _use_csr(graph: LabeledGraph, min_edges: int) -> bool:
+    """Whether a warm snapshot or the graph's size pays for the CSR kernel."""
+    return graph.has_frozen() or graph.num_edges() >= min_edges
 
 
-def core_decomposition(graph: LabeledGraph, backend: str = "auto") -> Dict[Vertex, int]:
+def core_decomposition(graph: LabeledGraph) -> Dict[Vertex, int]:
     """Return the coreness of every vertex (Batagelj–Zaversnik).
 
     The coreness δ(v) is the largest ``k`` such that ``v`` belongs to a
     k-core of the graph.  Runs in time linear in the number of edges using
-    bucket sorting by degree.  ``backend`` selects the adjacency substrate
-    (``"auto"``, ``"object"``, ``"csr"``); every backend returns identical
-    values — the CSR path peels flat integer arrays and serves repeated
-    calls on an unmutated graph from the snapshot's coreness cache.
+    bucket sorting by degree.  A graph with a warm snapshot, or at least
+    :data:`CSR_CORE_MIN_EDGES` edges, peels flat integer arrays (repeated
+    calls on an unmutated graph hit the snapshot's coreness cache); smaller
+    graphs peel the adjacency sets.  Both return identical values.
     """
-    if _resolve_backend(graph, backend, CSR_CORE_MIN_EDGES) == "csr":
+    if _use_csr(graph, CSR_CORE_MIN_EDGES):
         frozen = graph.freeze()
         vertex_of = frozen.vertex_of
         return {vertex_of(i): c for i, c in enumerate(frozen.coreness())}
@@ -104,17 +92,18 @@ def core_decomposition(graph: LabeledGraph, backend: str = "auto") -> Dict[Verte
     return coreness
 
 
-def k_core_vertices(graph: LabeledGraph, k: int, backend: str = "auto") -> Set[Vertex]:
+def k_core_vertices(graph: LabeledGraph, k: int) -> Set[Vertex]:
     """Return the vertex set of the maximal k-core of ``graph`` (may be empty).
 
-    With the CSR backend the peel runs over flat arrays; when the snapshot's
-    coreness cache is warm (e.g. during a k-sweep) extraction degrades to an
-    O(|V|) coreness filter.  All backends return the identical (unique)
-    maximal k-core.
+    On the CSR snapshot (a warm one, or a graph of at least
+    :data:`CSR_PEEL_MIN_EDGES` edges) the peel runs over flat arrays; when
+    the snapshot's coreness cache is warm (e.g. during a k-sweep) extraction
+    degrades to an O(|V|) coreness filter.  Both substrates return the
+    identical (unique) maximal k-core.
     """
     if k <= 0:
         return set(graph.vertices())
-    if _resolve_backend(graph, backend, CSR_PEEL_MIN_EDGES) == "csr":
+    if _use_csr(graph, CSR_PEEL_MIN_EDGES):
         frozen = graph.freeze()
         alive = csr_k_core_alive(frozen, k)
         return set(compress(frozen.interner.vertices(), alive))
@@ -136,14 +125,12 @@ def k_core_vertices(graph: LabeledGraph, k: int, backend: str = "auto") -> Set[V
     return alive
 
 
-def k_core(graph: LabeledGraph, k: int, backend: str = "auto") -> LabeledGraph:
+def k_core(graph: LabeledGraph, k: int) -> LabeledGraph:
     """Return the maximal k-core of ``graph`` as a new labeled graph."""
-    return graph.induced_subgraph(k_core_vertices(graph, k, backend=backend))
+    return graph.induced_subgraph(k_core_vertices(graph, k))
 
 
-def k_core_containing(
-    graph: LabeledGraph, k: int, vertex: Vertex, backend: str = "auto"
-) -> Optional[LabeledGraph]:
+def k_core_containing(graph: LabeledGraph, k: int, vertex: Vertex) -> Optional[LabeledGraph]:
     """Return the connected k-core containing ``vertex``, or ``None``.
 
     This is the "connected component graph L (R) containing the query vertex"
@@ -151,7 +138,7 @@ def k_core_containing(
     """
     if vertex not in graph:
         raise VertexNotFoundError(vertex)
-    survivors = k_core_vertices(graph, k, backend=backend)
+    survivors = k_core_vertices(graph, k)
     if vertex not in survivors:
         return None
     core = graph.induced_subgraph(survivors)
@@ -229,9 +216,9 @@ def max_core_value_containing(graph: LabeledGraph, vertex: Vertex) -> int:
     return core_decomposition(graph).get(vertex, 0)
 
 
-def degeneracy(graph: LabeledGraph, backend: str = "auto") -> int:
+def degeneracy(graph: LabeledGraph) -> int:
     """Return the degeneracy (maximum coreness) of the graph."""
-    coreness = core_decomposition(graph, backend=backend)
+    coreness = core_decomposition(graph)
     return max(coreness.values()) if coreness else 0
 
 

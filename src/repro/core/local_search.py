@@ -151,14 +151,12 @@ def expand_candidate_ids(
     return admitted, not queue
 
 
-def _auto_core_parameter(
-    candidate: LabeledGraph, label, query: Vertex, backend: str = "auto"
-) -> int:
+def _auto_core_parameter(candidate: LabeledGraph, label, query: Vertex) -> int:
     """Return the largest coreness of ``query`` within its label group of ``candidate``."""
     group = candidate.label_induced_subgraph(label)
     if query not in group:
         return 0
-    return core_decomposition(group, backend=backend).get(query, 0)
+    return core_decomposition(group).get(query, 0)
 
 
 def l2p_bcc_search(
@@ -232,17 +230,14 @@ def run_l2p_bcc(
     rho: int = DEFAULT_RHO,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
-    backend: str = "auto",
     groups=None,
     views: Optional[G0ViewTable] = None,
 ) -> BCCResult:
     """L2P-BCC implementation registered as method ``"l2p-bcc"``.
 
-    Parameters match :func:`l2p_bcc_search`; ``backend`` selects the kernel
-    substrate throughout (index build, candidate cores, LP-BCC refinement)
-    and ``groups`` optionally supplies cached label-induced subgraphs used
-    by the global LP-BCC fallback.  Raises :class:`EmptyCommunityError`
-    instead of returning ``None``.
+    Parameters match :func:`l2p_bcc_search`; ``groups`` optionally supplies
+    cached label-induced subgraphs used by the global LP-BCC fallback.
+    Raises :class:`EmptyCommunityError` instead of returning ``None``.
 
     The seed path and the expansion run on the ids of ``graph``'s frozen
     CSR.  With ``views`` (a prepared engine's :class:`~repro.core.g0_view.
@@ -255,7 +250,7 @@ def run_l2p_bcc(
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
     if index is None:
-        index = BCIndex(graph, backend=backend)
+        index = BCIndex(graph)
     elif not index.is_built():
         index.build()
 
@@ -324,9 +319,9 @@ def run_l2p_bcc(
     # Line 4: core parameters default to the largest coreness on each side of
     # the candidate graph.
     if k1 is None:
-        k1 = _auto_core_parameter(candidate, left_label, q_left, backend=backend)
+        k1 = _auto_core_parameter(candidate, left_label, q_left)
     if k2 is None:
-        k2 = _auto_core_parameter(candidate, right_label, q_right, backend=backend)
+        k2 = _auto_core_parameter(candidate, right_label, q_right)
     parameters = BCCParameters(k1=k1, k2=k2, b=b)
 
     # Line 5: refine with the LP-BCC loop (bulk deletion of farthest vertices).
@@ -342,7 +337,6 @@ def run_l2p_bcc(
             rho=rho,
             max_iterations=max_iterations,
             instrumentation=inst,
-            backend=backend,
         )
     except EmptyCommunityError:
         if candidate.num_vertices() >= graph.num_vertices():
@@ -362,7 +356,6 @@ def run_l2p_bcc(
             rho=rho,
             max_iterations=max_iterations,
             instrumentation=inst,
-            backend=backend,
             groups=groups,
         )
     result.statistics.update(inst.as_dict())

@@ -90,7 +90,6 @@ def run_lp_bcc(
     rho: int = DEFAULT_RHO,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
-    backend: str = "auto",
     groups=None,
     views: Optional[G0ViewTable] = None,
 ) -> BCCResult:
@@ -127,7 +126,6 @@ def run_lp_bcc(
         q_right,
         parameters,
         instrumentation=inst,
-        backend=backend,
         groups=groups,
     )
     if g0 is None:

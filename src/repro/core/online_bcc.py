@@ -51,7 +51,6 @@ def online_bcc_search(
     bulk_deletion: bool = True,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
-    use_fast_path: bool = True,
 ) -> Optional[BCCResult]:
     """Run the Online-BCC greedy search (Algorithm 1).
 
@@ -79,14 +78,13 @@ def online_bcc_search(
         Optional safety cap on the number of peeling iterations.
     instrumentation:
         Optional counters (butterfly-counting calls, timings).
-    use_fast_path:
-        When True (default), ``G0`` comes from the engine's component-keyed
-        view table and the greedy loop peels an id mask over the engine's
-        frozen CSR (the loop only ever deletes vertices, so the snapshot
-        stays valid for the whole search).  False runs the loop on an
-        object-graph copy of ``G0``.  The result is identical either way —
-        same community, same query distance, same iteration count; only the
-        substrate differs.
+
+    ``G0`` comes from the engine's component-keyed view table and the
+    greedy loop peels an id mask over the engine's frozen CSR (the loop
+    only ever deletes vertices, so the snapshot stays valid for the whole
+    search).  :func:`run_online_bcc` without ``views`` runs the same loop on
+    an object-graph copy of ``G0`` and returns the identical community,
+    query distance and iteration count.
 
     Returns
     -------
@@ -101,7 +99,6 @@ def online_bcc_search(
         b=b,
         bulk_deletion=bulk_deletion,
         max_iterations=max_iterations,
-        fast_path=use_fast_path,
     )
     return one_shot_search(
         "online-bcc", graph, (q_left, q_right), config, instrumentation
@@ -118,28 +115,25 @@ def run_online_bcc(
     bulk_deletion: bool = True,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
-    use_fast_path: bool = True,
-    backend: str = "auto",
     groups=None,
     views: Optional[G0ViewTable] = None,
 ) -> BCCResult:
     """Algorithm 1 implementation registered as method ``"online-bcc"``.
 
     Parameters match :func:`online_bcc_search` plus the engine plumbing:
-    ``backend`` selects the kernel substrate for Algorithm 2 and ``groups``
-    optionally supplies cached label-induced subgraphs.  Raises
+    ``groups`` optionally supplies cached label-induced subgraphs.  Raises
     :class:`EmptyCommunityError` (with a machine-readable ``reason``) when no
     community exists instead of returning ``None``.
 
     ``views`` is a prepared engine's :class:`~repro.core.g0_view.
-    G0ViewTable`.  With it (and ``use_fast_path``) ``G0`` comes from the
-    table and the peel runs on id masks over the engine's frozen CSR; only
-    the returned community is built as a graph.  Without it the search runs
-    on object-graph copies of ``G0`` — the parity oracle of the view path.
+    G0ViewTable`.  With it ``G0`` comes from the table and the peel runs on
+    id masks over the engine's frozen CSR; only the returned community is
+    built as a graph.  Without it the search runs on object-graph copies of
+    ``G0`` — the parity oracle of the view path.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
-    if views is not None and use_fast_path:
+    if views is not None:
         return _online_bcc_on_view(
             graph,
             views,
@@ -164,7 +158,6 @@ def run_online_bcc(
         q_right,
         parameters,
         instrumentation=inst,
-        backend=backend,
         groups=groups,
     )
     if g0 is None:

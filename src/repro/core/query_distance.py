@@ -20,13 +20,14 @@ Algorithm 5:
 Vertices that become unreachable get distance ``inf`` and are therefore
 selected for deletion first by the greedy loop.
 
-The tracker supports two substrates (``backend="auto" | "object" | "csr"``).
-The CSR backend freezes the community once (:mod:`repro.graph.csr`) and
-maintains flat per-id distance lists plus a dead-id set; this is valid
-because the search loops only ever *delete* vertices, and the caller reports
-every deletion batch through :meth:`QueryDistanceTracker.remove_vertices`.
-Both backends return identical distances; ``auto`` picks CSR once the
-community is large enough to amortize the freeze.
+The tracker runs on one of two substrates, picked by community size.  A
+community of at least :data:`CSR_TRACKER_MIN_EDGES` edges is frozen once
+(:mod:`repro.graph.csr`) and the tracker maintains flat per-id distance
+lists plus a dead-id set; this is valid because the search loops only ever
+*delete* vertices, and the caller reports every deletion batch through
+:meth:`QueryDistanceTracker.remove_vertices`.  Smaller communities keep
+per-vertex distance maps over the object graph.  Both return identical
+distances.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from repro.graph.csr import csr_bfs_distances, csr_multi_source_bfs, masked_bfs
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import INFINITE_DISTANCE, bfs_distances, multi_source_bfs
 
-#: Community edge count above which ``backend="auto"`` freezes a CSR
-#: snapshot; the tracker runs many sweeps per search, so the threshold is
+#: Community edge count from which the tracker freezes a CSR snapshot; the tracker runs many sweeps per search, so the threshold is
 #: lower than for one-shot kernels.
 CSR_TRACKER_MIN_EDGES = 256
 
@@ -57,28 +57,18 @@ class QueryDistanceTracker:
         supported mutation while a tracker is attached.
     query_vertices:
         The query vertices ``Q``.
-    backend:
-        Distance-sweep substrate; see the module docstring.
     """
 
     def __init__(
-        self,
-        community: LabeledGraph,
-        query_vertices: Sequence[Vertex],
-        backend: str = "auto",
+        self, community: LabeledGraph, query_vertices: Sequence[Vertex]
     ) -> None:
         self._community = community
         self._queries: List[Vertex] = list(query_vertices)
         self.full_recomputations = 0
         self.partial_updates = 0
-        if backend == "auto":
-            backend = (
-                "csr" if community.num_edges() >= CSR_TRACKER_MIN_EDGES else "object"
-            )
-        elif backend not in ("csr", "object"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self._backend = backend
-        if backend == "csr":
+        # Distance-sweep substrate; see the module docstring.
+        self._csr = community.num_edges() >= CSR_TRACKER_MIN_EDGES
+        if self._csr:
             self._frozen = community.freeze()
             self._dead: Set[int] = set()
             self._query_ids: Dict[Vertex, Optional[int]] = {
@@ -86,7 +76,7 @@ class QueryDistanceTracker:
             }
             # Per-query distance list indexed by id; UNREACHED encodes inf,
             # None encodes "query vertex gone" (the empty map of the object
-            # backend).
+            # substrate).
             self._id_dist: Dict[Vertex, Optional[List[int]]] = {}
         else:
             self._distances: Dict[Vertex, Dict[Vertex, float]] = {}
@@ -99,7 +89,7 @@ class QueryDistanceTracker:
     def recompute(self, query: Optional[Vertex] = None) -> None:
         """Recompute distances from scratch for one query vertex (or all)."""
         targets = [query] if query is not None else self._queries
-        if self._backend == "csr":
+        if self._csr:
             for q in targets:
                 self.full_recomputations += 1
                 qid = self._query_ids.get(q)
@@ -134,7 +124,7 @@ class QueryDistanceTracker:
         deleted_set = {v for v in deleted}
         if not deleted_set:
             return
-        if self._backend == "csr":
+        if self._csr:
             deleted_ids = set()
             for v in deleted_set:
                 vid = self._frozen.try_id_of(v)
@@ -230,7 +220,7 @@ class QueryDistanceTracker:
     # ------------------------------------------------------------------
     def distance(self, vertex: Vertex, query: Vertex) -> float:
         """Return ``dist(vertex, query)`` in the current community (inf if unknown)."""
-        if self._backend == "csr":
+        if self._csr:
             dist_list = self._id_dist.get(query)
             if dist_list is None:
                 return INFINITE_DISTANCE
@@ -252,7 +242,7 @@ class QueryDistanceTracker:
         return worst
 
     def _iter_id_query_distances(self):
-        """Yield ``(vid, dist(v, Q))`` over surviving ids (CSR backend)."""
+        """Yield ``(vid, dist(v, Q))`` over surviving ids (CSR substrate)."""
         dist_lists = [self._id_dist.get(q) for q in self._queries]
         dead = self._dead
         for vid in range(self._frozen.num_vertices()):
@@ -274,7 +264,7 @@ class QueryDistanceTracker:
     def graph_query_distance(self) -> float:
         """Return ``dist(G, Q)``: the maximum query distance over all vertices."""
         worst = 0.0
-        if self._backend == "csr":
+        if self._csr:
             for _, value in self._iter_id_query_distances():
                 if math.isinf(value):
                     return INFINITE_DISTANCE
@@ -292,7 +282,7 @@ class QueryDistanceTracker:
         """Return the non-query vertices with maximum query distance, and that distance."""
         best_distance = -1.0
         best: List[Vertex] = []
-        if self._backend == "csr":
+        if self._csr:
             query_ids = {
                 vid for vid in self._query_ids.values() if vid is not None
             }
@@ -321,7 +311,7 @@ class QueryDistanceTracker:
 
     def distance_map(self, query: Vertex) -> Dict[Vertex, float]:
         """Return a copy of the distance map for one query vertex."""
-        if self._backend == "csr":
+        if self._csr:
             dist_list = self._id_dist.get(query)
             if dist_list is None:
                 return {}

@@ -34,19 +34,21 @@ The interning / freeze–thaw contract
   generation) keep using the object substrate; the CSR backend is a read
   path only.
 
-When each backend is used
--------------------------
+When each substrate is used
+---------------------------
 
-The object-facing kernels (:func:`repro.core.butterfly.butterfly_degrees`,
-:func:`repro.core.kcore.core_decomposition`, ...) accept
-``backend="auto" | "object" | "csr"``.  ``auto`` runs the CSR kernel once
-the graph is large enough for the freeze cost to be recovered and falls
-back to the object code on small inputs; both paths return exactly the same
-values (the randomized parity suite in ``tests/core/test_backend_parity.py``
-enforces this).  On a prepared engine the Online-/LP-BCC searches run on
-the graph's one snapshot with live-id sets (the id-mask kernels at the end
-of this module, driven by :mod:`repro.core.g0_view`);
-:class:`repro.core.query_distance.QueryDistanceTracker` freezes its
+No caller chooses the substrate.  The object-facing kernels
+(:func:`repro.core.butterfly.butterfly_degrees`,
+:func:`repro.core.kcore.core_decomposition`, ...) run the CSR kernel once
+the input is large enough for the freeze cost to be recovered, or already
+holds a warm snapshot, and the object code on small inputs; the thresholds
+are the ``CSR_*_MIN_EDGES`` constants of each module.  Both paths return
+exactly the same values (the randomized parity suite in
+``tests/core/test_backend_parity.py`` forces each side and enforces this).
+On a prepared engine the Online-/LP-/L2P-BCC searches run on the graph's
+one snapshot with live-id sets (the id-mask kernels at the end of this
+module, driven by :mod:`repro.core.g0_view`);
+:class:`repro.core.query_distance.QueryDistanceTracker` freezes a large
 community once and sweeps with a ``dead`` mask.
 
 The adjacency is built and iterated as flat plain lists — CPython re-boxes

@@ -24,9 +24,13 @@ def bfs_distances(
     graph: LabeledGraph,
     source: Vertex,
     max_depth: Optional[int] = None,
-    backend: str = "auto",
 ) -> Dict[Vertex, int]:
     """Return hop distances from ``source`` to every reachable vertex.
+
+    The flat-array kernel runs on the graph's CSR snapshot when a current
+    one is already cached (a one-shot BFS does not recover the freeze
+    cost); otherwise the search walks the adjacency sets.  Both return
+    identical distances.
 
     Parameters
     ----------
@@ -37,11 +41,6 @@ def bfs_distances(
     max_depth:
         If given, the traversal stops after this many hops; vertices farther
         away are omitted from the result.
-    backend:
-        ``"object"`` walks the adjacency sets; ``"csr"`` runs the flat-array
-        kernel on the graph's CSR snapshot; ``"auto"`` uses CSR only when a
-        current snapshot is already cached (a one-shot BFS does not recover
-        the freeze cost).  All backends return identical distances.
 
     Returns
     -------
@@ -50,10 +49,7 @@ def bfs_distances(
     """
     if source not in graph:
         raise VertexNotFoundError(source)
-    if backend not in ("auto", "object", "csr", "process"):
-        raise ValueError(f"unknown backend {backend!r}")
-    # "process" is the batch-transport backend; its in-process kernel is CSR.
-    if backend in ("csr", "process") or (backend == "auto" and graph.has_frozen()):
+    if graph.has_frozen():
         from repro.graph.csr import csr_bfs_distances  # deferred: csr imports us
 
         frozen = graph.freeze()
@@ -78,13 +74,15 @@ def multi_source_bfs(
     graph: LabeledGraph,
     seeds: Dict[Vertex, int],
     restrict_to: Optional[Set[Vertex]] = None,
-    backend: str = "auto",
 ) -> Dict[Vertex, int]:
     """Multi-source BFS where each seed starts at its own non-negative level.
 
     This generalized BFS is the primitive behind Algorithm 5 (fast query
     distance computation): the already-settled vertices are seeded with their
     known distances and only the unsettled region is re-explored.
+
+    As in :func:`bfs_distances`, the CSR kernel runs only when the graph
+    already holds a current snapshot.
 
     Parameters
     ----------
@@ -96,9 +94,6 @@ def multi_source_bfs(
     restrict_to:
         If provided, only vertices in this set (plus the seeds) may be
         assigned distances.
-    backend:
-        As in :func:`bfs_distances`: ``"auto"`` uses the CSR kernel only
-        when the graph already holds a current snapshot.
 
     Returns
     -------
@@ -106,10 +101,7 @@ def multi_source_bfs(
         Mapping of vertex to distance for all vertices reached, seeds
         included.
     """
-    if backend not in ("auto", "object", "csr", "process"):
-        raise ValueError(f"unknown backend {backend!r}")
-    # "process" is the batch-transport backend; its in-process kernel is CSR.
-    if backend in ("csr", "process") or (backend == "auto" and graph.has_frozen()):
+    if graph.has_frozen():
         from repro.graph.csr import csr_multi_source_bfs  # deferred import
 
         frozen = graph.freeze()

@@ -59,11 +59,11 @@ from typing import Dict, Iterable, List, Optional, Set, Union
 from repro.api.config import SearchConfig
 from repro.api.engine import (
     DEFAULT_RESULT_CACHE_SIZE,
-    PROCESS_AUTO_MIN_EDGES,
     BCCEngine,
     error_response_for,
     is_caller_error,
     serve_batch,
+    use_process_transport,
 )
 from repro.api.query import (
     STATUS_EMPTY,
@@ -417,7 +417,7 @@ class ShardedBCCEngine:
         on_error: str = "raise",
         max_workers: int = 1,
         use_cache: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "auto",
     ) -> List[SearchResponse]:
         """Scatter-gather a batch across shards, preserving batch semantics.
 
@@ -433,10 +433,12 @@ class ShardedBCCEngine:
         shards; each shard engine's fill-once caches keep preparation
         exactly-once per shard under contention.
 
-        ``backend="process"`` (or an ``"auto"`` pick on a compute-bound
-        shape, same heuristic as the monolithic engine) ships the batch to
-        ``max_workers`` worker processes instead.  Routing still happens
-        router-side: cross-shard rows short-circuit in the parent without
+        ``backend`` is the batch transport, ``"auto"``, ``"thread"`` or
+        ``"process"``, decided exactly as the monolithic engine decides it
+        (:func:`repro.api.engine.use_process_transport`).  The process
+        transport ships the batch to ``max_workers`` worker processes
+        instead of a thread pool.  Routing still happens router-side:
+        cross-shard rows short-circuit in the parent without
         touching any worker, and every in-shard row is *pinned* to worker
         ``shard_id % workers`` so one shard's engine is built by exactly
         one worker process however large the batch.  Unavailable shared
@@ -447,18 +449,9 @@ class ShardedBCCEngine:
             batch = queries
         else:
             batch = BatchQuery(queries=tuple(queries))
-        resolved_backend = backend
-        if resolved_backend is None:
-            base = config if config is not None else self.config
-            resolved_backend = base.backend
-        use_process = resolved_backend == "process" or (
-            resolved_backend == "auto"
-            and max_workers > 1
-            and len(batch.queries) > 1
-            and instrumentation is None
-            and self.graph.num_edges() >= PROCESS_AUTO_MIN_EDGES
-        )
-        if use_process:
+        if use_process_transport(
+            backend, self.graph, len(batch.queries), max_workers, instrumentation
+        ):
             responses = self._try_serve_process(
                 batch,
                 config=config,

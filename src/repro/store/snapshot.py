@@ -90,7 +90,6 @@ class SnapshotWriter:
         graph: LabeledGraph,
         index: Optional[BCIndex] = None,
         *,
-        backend: str = "auto",
         groups=None,
     ) -> Dict[str, object]:
         """Write a snapshot of ``graph``; returns a summary dict.
@@ -109,7 +108,7 @@ class SnapshotWriter:
         ]
         offs, nbrs = csr.adjacency_lists()
         if index is None:
-            index = BCIndex(graph, build=True, backend=backend, groups=groups)
+            index = BCIndex(graph, build=True, groups=groups)
         elif not index.is_built():
             index.build()
 
@@ -473,10 +472,9 @@ class StoredBCIndex(BCIndex):
         self,
         graph: LabeledGraph,
         snapshot: Snapshot,
-        backend: str = "auto",
         groups=None,
     ) -> None:
-        super().__init__(graph, build=False, backend=backend, groups=groups)
+        super().__init__(graph, build=False, groups=groups)
         self._snapshot = snapshot
 
     def build(self) -> None:
@@ -524,7 +522,7 @@ def attach_engine(
     engine = BCCEngine(
         graph,
         cfg,
-        index=StoredBCIndex(graph, snapshot, backend=cfg.backend),
+        index=StoredBCIndex(graph, snapshot),
         **engine_kwargs,
     )
     return engine.prepare()
@@ -542,6 +540,4 @@ def persist_engine(
     engine.prepare()
     index = engine.ensure_index()
     writer = SnapshotWriter(path, butterfly_pairs=butterfly_pairs)
-    return writer.write(
-        engine.graph, index, backend=engine.config.backend, groups=engine.group
-    )
+    return writer.write(engine.graph, index, groups=engine.group)

@@ -18,9 +18,7 @@ class TestDefaults:
         assert config.b == 1
         assert config.bulk_deletion is True
         assert config.rho == 2
-        assert config.backend == "auto"
         assert config.max_iterations is None
-        assert config.fast_path is True
         assert config.eta == 400
         assert config.path_config == PathWeightConfig()
         assert config.core_parameters is None
@@ -75,7 +73,6 @@ class TestValidation:
             {"k": -3},
             {"b": -1},
             {"rho": -1},
-            {"backend": "gpu"},
             {"max_iterations": -5},
             {"eta": -1},
             {"size_budget": -1},
@@ -97,6 +94,22 @@ class TestValidation:
         )
         assert config.b == 0 and config.max_iterations == 0
         assert config.size_budget == 0 and config.eta == 0
+
+
+class TestNoSubstrateFields:
+    """The kernel substrate is not a config field: input size picks it."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"backend": "object"}, {"backend": "auto"}, {"fast_path": False}]
+    )
+    def test_substrate_knobs_are_refused(self, kwargs):
+        with pytest.raises(TypeError):
+            SearchConfig(**kwargs)
+
+    def test_thirteen_fields(self):
+        names = [field.name for field in dataclasses.fields(SearchConfig)]
+        assert len(names) == 13
+        assert "backend" not in names and "fast_path" not in names
 
 
 class TestDeadlineField:

@@ -381,6 +381,20 @@ class TestErrorPolicy:
         with pytest.raises(QueryError):
             engine.search_many([], max_workers=0)
 
+    @pytest.mark.parametrize("backend", ["bogus", "csr", "object", None])
+    def test_unknown_transport_rejected(self, paper_graph, backend):
+        engine = BCCEngine(paper_graph)
+        batch = [Query("online-bcc", ("ql", "qr"))]
+        with pytest.raises(QueryError, match="batch backend"):
+            engine.search_many(batch, backend=backend)
+        assert engine.counters_snapshot()["searches"] == 0
+        # Both in-process transport names serve, with the same answer.
+        answers = {
+            transport: engine.search_many(batch, backend=transport)[0].vertices
+            for transport in ("auto", "thread")
+        }
+        assert answers["auto"] == answers["thread"]
+
     def test_return_policy_does_not_mask_deep_missing_vertices(self, paper_graph):
         """A VertexNotFoundError for a NON-query vertex is an implementation
         bug escaping a runner — on_error="return" must not convert it into

@@ -7,6 +7,11 @@ drives all three butterfly/k-core/BFS kernels over 220 random graphs
 asserts exact equality, including the brute-force O(n⁴) butterfly reference
 on the smaller instances, disconnected graphs, and single-label graphs
 where one bipartite side is empty.
+
+No caller picks a kernel's substrate: each module runs its CSR kernel from
+a size threshold (``CSR_*_MIN_EDGES``) or on a warm snapshot.  The suite
+forces each side by patching those thresholds (the ``force`` fixture) and
+runs object references on graphs that hold no snapshot.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import random
 
 import pytest
 
-from repro.api import SearchConfig
+from repro.api import BCCEngine, Query, SearchConfig
+from repro.core import butterfly, kcore, query_distance
 from repro.core.butterfly import (
     brute_force_butterfly_degrees,
     butterfly_degrees,
@@ -25,7 +31,7 @@ from repro.core.butterfly import (
     max_butterfly_degree_per_side,
 )
 from repro.core.kcore import core_decomposition, k_core_vertices
-from repro.core.online_bcc import online_bcc_search
+from repro.core.online_bcc import run_online_bcc
 from repro.core.query_distance import QueryDistanceTracker
 from repro.graph.bipartite import extract_label_bipartite
 from repro.graph.csr import (
@@ -43,11 +49,37 @@ from repro.graph.generators import (
     random_bipartite_graph,
     random_labeled_graph,
 )
+from repro.exceptions import EmptyCommunityError
 from repro.graph.traversal import bfs_distances, multi_source_bfs
 
 BUTTERFLY_SEEDS = range(80)
 KCORE_SEEDS = range(70)
 BFS_SEEDS = range(70)
+
+#: Every size threshold that routes an object-facing kernel to CSR.
+THRESHOLDS = (
+    (butterfly, "CSR_BUTTERFLY_MIN_EDGES"),
+    (kcore, "CSR_CORE_MIN_EDGES"),
+    (kcore, "CSR_PEEL_MIN_EDGES"),
+    (query_distance, "CSR_TRACKER_MIN_EDGES"),
+)
+
+
+@pytest.fixture
+def force(monkeypatch):
+    """``force("object" | "csr")`` pins the size-picked kernels to a substrate.
+
+    A threshold of 0 sends every input to the CSR kernel; an unreachable
+    one keeps it on the object code.  A graph with a warm snapshot still
+    runs on CSR, so object references use graphs nothing has frozen.
+    """
+
+    def pin(substrate):
+        size = 0 if substrate == "csr" else 1 << 62
+        for module, name in THRESHOLDS:
+            monkeypatch.setattr(module, name, size)
+
+    return pin
 
 
 def _random_bipartite(seed: int):
@@ -76,26 +108,30 @@ def _chi_dict(frozen: CSRBipartiteView, chi):
 
 class TestButterflyParity:
     @pytest.mark.parametrize("seed", BUTTERFLY_SEEDS)
-    def test_all_backends_agree(self, seed):
+    def test_all_backends_agree(self, seed, force):
         view = _random_bipartite(seed)
-        reference = butterfly_degrees(view, backend="object")
-        assert butterfly_degrees(view, backend="csr") == reference
-        assert butterfly_degrees_priority(view, backend="object") == reference
-        assert butterfly_degrees_priority(view, backend="csr") == reference
+        force("object")
+        reference = butterfly_degrees(view)
+        assert butterfly_degrees_priority(view) == reference
+        force("csr")
+        assert butterfly_degrees(view) == reference
+        assert butterfly_degrees_priority(view) == reference
         frozen = CSRBipartiteView.freeze(view)
         assert _chi_dict(frozen, csr_butterfly_degrees(frozen)) == reference
         assert _chi_dict(frozen, csr_butterfly_degrees_two_sided(frozen)) == reference
         if view.num_vertices() <= 18:
             assert brute_force_butterfly_degrees(view) == reference
 
-    def test_single_label_graph_has_empty_side(self):
+    def test_single_label_graph_has_empty_side(self, force):
         graph = random_labeled_graph(12, 0.4, ["only"], seed=5)
         view = extract_label_bipartite(graph, "only", "missing")
-        reference = butterfly_degrees(view, backend="object")
-        assert butterfly_degrees(view, backend="csr") == reference
+        force("object")
+        reference = butterfly_degrees(view)
+        force("csr")
+        assert butterfly_degrees(view) == reference
         assert all(chi == 0 for chi in reference.values())
 
-    def test_enumerate_butterflies_matches_brute_force(self):
+    def test_enumerate_butterflies_matches_brute_force(self, force):
         view = _random_bipartite(3)
         degrees = {v: 0 for v in view.vertices()}
         for l1, l2, r1, r2 in enumerate_butterflies(view):
@@ -103,7 +139,8 @@ class TestButterflyParity:
             assert view.side(r1) == view.side(r2) == "right"
             for vertex in (l1, l2, r1, r2):
                 degrees[vertex] += 1
-        assert degrees == butterfly_degrees(view, backend="object")
+        force("object")
+        assert degrees == butterfly_degrees(view)
 
     def test_empty_degree_map_is_authoritative(self):
         view = _random_bipartite(7)
@@ -116,30 +153,37 @@ class TestButterflyParity:
 
 class TestKCoreParity:
     @pytest.mark.parametrize("seed", KCORE_SEEDS)
-    def test_coreness_and_cores_agree(self, seed):
+    def test_coreness_and_cores_agree(self, seed, force):
         graph = _random_graph(seed)
-        reference = core_decomposition(graph, backend="object")
-        assert core_decomposition(graph, backend="csr") == reference
+        plain = graph.copy()  # never frozen: the object reference
+        force("object")
+        reference = core_decomposition(plain)
+        max_k = (max(reference.values()) if reference else 0) + 2
+        expected = [k_core_vertices(plain, k) for k in range(max_k)]
+        assert not plain.has_frozen()
+        force("csr")
+        assert core_decomposition(graph) == reference
+        assert [k_core_vertices(graph, k) for k in range(max_k)] == expected
+        assert graph.has_frozen()
         frozen = CSRGraph.freeze(graph)
         n = frozen.num_vertices()
         assert {frozen.vertex_of(i): c for i, c in enumerate(csr_core_decomposition(frozen))} == reference
-        max_k = (max(reference.values()) if reference else 0) + 2
         for k in range(0, max_k):
-            expected = k_core_vertices(graph, k, backend="object")
-            assert k_core_vertices(graph, k, backend="csr") == expected
             alive = csr_k_core_alive(frozen, k)
-            assert {frozen.vertex_of(i) for i in range(n) if alive[i]} == expected
+            assert {frozen.vertex_of(i) for i in range(n) if alive[i]} == expected[k]
         # Warm-coreness extraction (the O(n) filter) must agree too.
         frozen.coreness()
         for k in range(0, max_k):
             alive = csr_k_core_alive(frozen, k)
-            assert {frozen.vertex_of(i) for i in range(n) if alive[i]} == \
-                k_core_vertices(graph, k, backend="object")
+            assert {frozen.vertex_of(i) for i in range(n) if alive[i]} == expected[k]
 
-    def test_disconnected_components(self):
+    def test_disconnected_components(self, force):
         graph = planted_partition_graph([8, 8, 8], 0.8, 0.0, seed=2)[0]
-        assert core_decomposition(graph, backend="csr") == \
-            core_decomposition(graph, backend="object")
+        plain = graph.copy()
+        force("object")
+        reference = core_decomposition(plain)
+        force("csr")
+        assert core_decomposition(graph) == reference
 
 
 class TestBFSParity:
@@ -150,17 +194,20 @@ class TestBFSParity:
         if not vertices:
             return
         rng = random.Random(seed)
-        frozen = CSRGraph.freeze(graph)
+        # BFS runs on CSR exactly when the graph holds a warm snapshot.
+        plain = graph.copy()
+        frozen = graph.freeze()
         n = frozen.num_vertices()
         source = rng.choice(vertices)
         for max_depth in (None, 0, 1, 3):
-            reference = bfs_distances(graph, source, max_depth=max_depth, backend="object")
-            assert bfs_distances(graph, source, max_depth=max_depth, backend="csr") == reference
+            reference = bfs_distances(plain, source, max_depth=max_depth)
+            assert bfs_distances(graph, source, max_depth=max_depth) == reference
             dist = csr_bfs_distances(frozen, frozen.id_of(source), max_depth=max_depth)
             assert {frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0} == reference
         seeds = {v: rng.randint(0, 3) for v in rng.sample(vertices, min(4, len(vertices)))}
-        reference = multi_source_bfs(graph, seeds, backend="object")
-        assert multi_source_bfs(graph, seeds, backend="csr") == reference
+        reference = multi_source_bfs(plain, seeds)
+        assert multi_source_bfs(graph, seeds) == reference
+        assert graph.has_frozen() and not plain.has_frozen()
         id_seeds = [(frozen.id_of(v), d) for v, d in seeds.items()]
         dist = csr_multi_source_bfs(frozen, id_seeds)
         assert {frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0} == reference
@@ -173,19 +220,23 @@ class TestBFSParity:
         rng = random.Random(11)
         seeds = {vertices[0]: 0, vertices[1]: 2}
         restrict = set(rng.sample(vertices, len(vertices) // 2))
-        reference = multi_source_bfs(graph, seeds, restrict_to=restrict, backend="object")
-        assert multi_source_bfs(graph, seeds, restrict_to=restrict, backend="csr") == reference
+        reference = multi_source_bfs(graph.copy(), seeds, restrict_to=restrict)
+        graph.freeze()
+        assert multi_source_bfs(graph, seeds, restrict_to=restrict) == reference
 
 
 class TestTrackerParity:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_deletion_sequences(self, seed):
+    def test_random_deletion_sequences(self, seed, force):
         rng = random.Random(seed)
         graph, communities = planted_partition_graph([14, 14], 0.4, 0.06, seed=seed)
         mirror = graph.copy()
         queries = [communities[0][0], communities[1][0]]
-        obj = QueryDistanceTracker(graph, queries, backend="object")
-        csr = QueryDistanceTracker(mirror, queries, backend="csr")
+        force("object")
+        obj = QueryDistanceTracker(graph, queries)
+        force("csr")
+        csr = QueryDistanceTracker(mirror, queries)
+        assert mirror.has_frozen() and not graph.has_frozen()
         deletable = [v for v in graph.vertices() if v not in queries]
         rng.shuffle(deletable)
         for start in range(0, 15, 3):
@@ -201,12 +252,14 @@ class TestTrackerParity:
             for q in queries:
                 assert obj.distance_map(q) == csr.distance_map(q)
 
-    def test_deleting_query_vertex(self):
+    def test_deleting_query_vertex(self, force):
         graph, communities = planted_partition_graph([10, 10], 0.5, 0.1, seed=3)
         mirror = graph.copy()
         queries = [communities[0][0], communities[1][0]]
-        obj = QueryDistanceTracker(graph, queries, backend="object")
-        csr = QueryDistanceTracker(mirror, queries, backend="csr")
+        force("object")
+        obj = QueryDistanceTracker(graph, queries)
+        force("csr")
+        csr = QueryDistanceTracker(mirror, queries)
         graph.remove_vertex(queries[0])
         mirror.remove_vertex(queries[0])
         obj.remove_vertices([queries[0]])
@@ -225,12 +278,15 @@ class TestOnlineBCCFastPathParity:
             [12, 12], 0.55, 0.08, seed=seed, label_for_community=lambda i: "LR"[i]
         )
         q_left, q_right = communities[0][0], communities[1][0]
-        fast = online_bcc_search(
-            graph, q_left, q_right, bulk_deletion=bulk, use_fast_path=True
+        response = BCCEngine(graph).search(
+            Query("online-bcc", (q_left, q_right)),
+            config=SearchConfig(bulk_deletion=bulk),
         )
-        slow = online_bcc_search(
-            graph, q_left, q_right, bulk_deletion=bulk, use_fast_path=False
-        )
+        fast = response.result if response.status == "ok" else None
+        try:  # run_online_bcc without views: the object-graph oracle
+            slow = run_online_bcc(graph, q_left, q_right, bulk_deletion=bulk)
+        except EmptyCommunityError:
+            slow = None
         if fast is None or slow is None:
             assert fast is None and slow is None
             return
@@ -243,7 +299,7 @@ class TestOnlineBCCFastPathParity:
 
 
 class TestProcessBackendParity:
-    """backend="process" ≡ the threaded path, value for value.
+    """search_many(backend="process") ≡ backend="thread", value for value.
 
     The worker processes serve the *same* frozen CSR arrays from shared
     memory, so every registered method must return byte-identical wire
@@ -292,7 +348,7 @@ class TestProcessBackendParity:
             for pair in pairs
         ]
         engine = BCCEngine(graph)
-        expected = engine.search_many(queries, on_error="return")
+        expected = engine.search_many(queries, on_error="return", backend="thread")
         got = engine.search_many(
             queries, on_error="return", backend="process", max_workers=2
         )
@@ -315,7 +371,7 @@ class TestProcessBackendParity:
         config = SearchConfig(b=1, max_iterations=60)
         engine = BCCEngine(graph)
         queries = [Query("mbcc", query, config=config)]
-        expected = engine.search_many(queries, on_error="return")
+        expected = engine.search_many(queries, on_error="return", backend="thread")
         got = engine.search_many(
             queries, on_error="return", backend="process"
         )

@@ -3,7 +3,7 @@
 A prepared :class:`BCCEngine` runs L2P-BCC's seed path and expansion on
 CSR ids and, when the candidate closed, takes its ``G0`` from the view
 table (``engine.g0_views``); a truncated candidate gets a masked peel.
-The references are ``SearchConfig(backend="object")`` and
+The references are ``run_l2p_bcc`` called without ``views`` and
 ``l2p_oracle.object_l2p`` (Algorithm 8 on object graphs only): status,
 reason, vertex set, iterations, query distance and leader pair must agree.
 """
@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from l2p_oracle import object_l2p, query_pairs
 from repro import BCCEngine, Query, SearchConfig
+from repro.core.bc_index import BCIndex
+from repro.core.local_search import run_l2p_bcc
 from repro.datasets import load_dataset
 from repro.exceptions import EmptyCommunityError
 from repro.graph.labeled_graph import LabeledGraph
@@ -27,7 +29,10 @@ from repro.graph.labeled_graph import LabeledGraph
 def fields(response):
     if response.status != "ok":
         return (response.status, response.reason, (), 0, None, None)
-    result = response.result
+    return result_fields(response.result)
+
+
+def result_fields(result):
     return (
         "ok",
         None,
@@ -46,27 +51,30 @@ def oracle_fields(graph, pair, config: SearchConfig):
         )
     except EmptyCommunityError as exc:
         return ("empty", exc.reason, (), 0, None, None)
-    return (
-        "ok",
-        None,
-        tuple(sorted(result.vertices, key=repr)),
-        result.iterations,
-        result.query_distance,
-        result.leader_pair,
-    )
+    return result_fields(result)
 
 
-def assert_parity(graph, pairs, config: SearchConfig, views=None, objects=None):
-    views = views if views is not None else BCCEngine(graph).prepare()
-    objects = objects if objects is not None else BCCEngine(
-        graph, SearchConfig(backend="object")
-    ).prepare()
+def object_fields(graph, pair, config: SearchConfig, index: BCIndex):
+    """``run_l2p_bcc`` without ``views``: the library's object-graph path."""
+    try:
+        result = run_l2p_bcc(
+            graph, pair[0], pair[1], k1=config.effective_k1(),
+            k2=config.effective_k2(), b=config.b, index=index, eta=config.eta,
+            path_config=config.path_config, rho=config.rho,
+            max_iterations=config.max_iterations,
+        )
+    except EmptyCommunityError as exc:
+        return ("empty", exc.reason, (), 0, None, None)
+    return result_fields(result)
+
+
+def assert_parity(graph, pairs, config: SearchConfig):
+    views = BCCEngine(graph).prepare()
+    index = BCIndex(graph)
     for pair in pairs:
         query = Query("l2p-bcc", pair)
         served = fields(views.search(query, config=config, use_cache=False))
-        expected = fields(objects.search(
-            query, config=config.replace(backend="object"), use_cache=False
-        ))
+        expected = object_fields(graph, pair, config, index)
         assert served == expected, (pair, config)
     return views
 
@@ -165,11 +173,8 @@ def test_mutation_between_queries_answers_the_mutated_graph(small_dblp):
     graph.remove_vertex(victim)
     after = engine.search(Query("l2p-bcc", pair), use_cache=False)
     assert victim not in after.vertices
-    fresh = BCCEngine(graph, SearchConfig(backend="object")).prepare()
-    expected = fresh.search(
-        Query("l2p-bcc", pair), config=SearchConfig(backend="object")
-    )
-    assert fields(after) == fields(expected)
+    expected = object_fields(graph, pair, SearchConfig(), BCIndex(graph))
+    assert fields(after) == expected
     assert fields(after) == oracle_fields(graph, pair, SearchConfig())
 
 

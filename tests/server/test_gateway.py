@@ -27,6 +27,7 @@ from repro.server import (
     PROTOCOL_VERSION,
 )
 from repro.server.app import ACCESS_LOGGER
+from repro.server.protocol import encode_config
 from repro.serving import GraphDirectory
 
 OK_QUERY = Query("online-bcc", ("ql", "qr"))
@@ -108,6 +109,20 @@ class TestSearchEndpoint:
         )
         assert status == 400
         assert body["reason"] == REASON_UNKNOWN_METHOD
+
+    def test_retired_substrate_config_is_http_400(self, gateway):
+        config = encode_config(SearchConfig())
+        config["backend"] = "object"
+        status, body = raw_request(
+            f"{gateway.url}/graphs/paper/search",
+            method="POST",
+            body=json.dumps(
+                {"query": {"method": "online-bcc", "vertices": ["ql", "qr"],
+                           "config": config}}
+            ).encode(),
+        )
+        assert status == 400
+        assert "backend" in json.dumps(body)
 
     def test_unknown_graph_is_graph_not_found(self, client):
         with pytest.raises(GraphNotFoundError):

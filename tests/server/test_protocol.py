@@ -101,9 +101,7 @@ class TestConfigRoundTrip:
             b=2,
             bulk_deletion=False,
             rho=4,
-            backend="csr",
             max_iterations=77,
-            fast_path=False,
             eta=9,
             path_config=PathWeightConfig(gamma1=0.25, gamma2=1.75),
             core_parameters=(2, 3, 4),
@@ -118,6 +116,15 @@ class TestConfigRoundTrip:
     def test_unknown_fields_mean_schema_skew(self):
         payload = encode_config(SearchConfig())
         payload["warp_speed"] = True
+        with pytest.raises(ProtocolError):
+            decode_config(payload)
+
+    @pytest.mark.parametrize(
+        "retired", [{"backend": "object"}, {"fast_path": False}]
+    )
+    def test_retired_substrate_fields_are_refused(self, retired):
+        payload = encode_config(SearchConfig())
+        payload.update(retired)
         with pytest.raises(ProtocolError):
             decode_config(payload)
 

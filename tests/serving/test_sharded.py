@@ -308,6 +308,15 @@ class TestSearchMany:
         with pytest.raises(QueryError):
             engine.search_many([], max_workers=0)
 
+    @pytest.mark.parametrize("backend", ["bogus", "csr", "object", None])
+    def test_unknown_transport_rejected(self, two_component_paper_graph, backend):
+        engine = ShardedBCCEngine(two_component_paper_graph)
+        batch = [Query("ctc", ("ql",))]
+        with pytest.raises(QueryError, match="batch backend"):
+            engine.search_many(batch, backend=backend)
+        thread = engine.search_many(batch, backend="thread")
+        assert thread[0].vertices == engine.search_many(batch)[0].vertices
+
     def test_batch_only_builds_touched_shards(self, two_component_paper_graph):
         engine = ShardedBCCEngine(two_component_paper_graph)
         engine.search_many([Query("ctc", ("b:s1", "b:u1"))] * 4)
